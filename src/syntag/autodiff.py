@@ -50,13 +50,11 @@ __all__ = [
     "logsumexp",
     "rows",
     "take",
+    "record",
+    "recording",
 ]
 
 _TAPE_STACK: list["Tape"] = []
-
-
-def _active_tape():
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
 class Tensor:
@@ -210,10 +208,20 @@ def clear_grads(tensors):
         t.grad = None
 
 
-def _maybe_record(out, inputs, backward_fn):
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        tape._record(out, inputs, backward_fn)
+def recording(inputs):
+    """True when a tape is active and some of ``inputs`` is tracked."""
+    return bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
+
+
+def record(out, inputs, backward_fn):
+    """Record ``out`` as a node on the active tape when ``recording(inputs)``.
+
+    ``backward_fn(grad_out)`` returns one gradient (or None) per input. Ops
+    outside the core, such as the fused recurrent kernel, use this hook too.
+    Returns ``out``.
+    """
+    if recording(inputs):
+        _TAPE_STACK[-1]._record(out, inputs, backward_fn)
     return out
 
 
@@ -247,7 +255,7 @@ def add(a, b):
     def bk(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
-    return _maybe_record(out, (a, b), bk)
+    return record(out, (a, b), bk)
 
 
 def sub(a, b):
@@ -258,7 +266,7 @@ def sub(a, b):
     def bk(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
 
-    return _maybe_record(out, (a, b), bk)
+    return record(out, (a, b), bk)
 
 
 def mul(a, b):
@@ -273,7 +281,7 @@ def mul(a, b):
             _unbroadcast(g * a_data, b_data.shape),
         )
 
-    return _maybe_record(out, (a, b), bk)
+    return record(out, (a, b), bk)
 
 
 def matmul(a, b):
@@ -292,7 +300,7 @@ def matmul(a, b):
     def bk(g):
         return g @ b_data.T, a_data.T @ g
 
-    return _maybe_record(out, (a, b), bk)
+    return record(out, (a, b), bk)
 
 
 def bmm_const(mats, a):
@@ -317,7 +325,7 @@ def bmm_const(mats, a):
     def bk(g):
         return (np.matmul(mats_t, g),)
 
-    return _maybe_record(out, (a,), bk)
+    return record(out, (a,), bk)
 
 
 def sigmoid(a):
@@ -332,7 +340,7 @@ def sigmoid(a):
     def bk(g):
         return (g * out_data * (1.0 - out_data),)
 
-    return _maybe_record(out, (a,), bk)
+    return record(out, (a,), bk)
 
 
 def tanh(a):
@@ -342,7 +350,7 @@ def tanh(a):
     def bk(g):
         return (g * (1.0 - out_data * out_data),)
 
-    return _maybe_record(out, (a,), bk)
+    return record(out, (a,), bk)
 
 
 def relu(a):
@@ -353,7 +361,7 @@ def relu(a):
     def bk(g):
         return (g * positive,)
 
-    return _maybe_record(out, (a,), bk)
+    return record(out, (a,), bk)
 
 
 def exp(a):
@@ -363,7 +371,7 @@ def exp(a):
     def bk(g):
         return (g * out_data,)
 
-    return _maybe_record(out, (a,), bk)
+    return record(out, (a,), bk)
 
 
 def log(a):
@@ -373,7 +381,7 @@ def log(a):
     def bk(g):
         return (g / a_data,)
 
-    return _maybe_record(out, (a,), bk)
+    return record(out, (a,), bk)
 
 
 def concat(tensors, axis=0):
@@ -399,7 +407,7 @@ def concat(tensors, axis=0):
     def bk(g):
         return tuple(np.split(g, offsets, axis=axis))
 
-    return _maybe_record(out, tuple(tensors), bk)
+    return record(out, tuple(tensors), bk)
 
 
 def reshape(a, shape):
@@ -412,7 +420,7 @@ def reshape(a, shape):
     def bk(g):
         return (g.reshape(in_shape),)
 
-    return _maybe_record(out, (a,), bk)
+    return record(out, (a,), bk)
 
 
 def _sum(a, axis=None, keepdims=False):
@@ -428,7 +436,7 @@ def _sum(a, axis=None, keepdims=False):
             g = np.expand_dims(g, ax)
         return (np.broadcast_to(g, in_shape).copy(),)
 
-    return _maybe_record(out, (a,), bk)
+    return record(out, (a,), bk)
 
 
 def logsumexp(a, axis):
@@ -450,7 +458,7 @@ def logsumexp(a, axis):
     def bk(g):
         return (np.expand_dims(g, axis) * softmax,)
 
-    return _maybe_record(out, (a,), bk)
+    return record(out, (a,), bk)
 
 
 def rows(a, idx):
@@ -475,7 +483,7 @@ def rows(a, idx):
         np.add.at(da, idx, g)
         return (da,)
 
-    return _maybe_record(out, (a,), bk)
+    return record(out, (a,), bk)
 
 
 def take(a, flat_idx):
@@ -495,4 +503,4 @@ def take(a, flat_idx):
         np.add.at(da, flat_idx, g)
         return (da.reshape(in_shape),)
 
-    return _maybe_record(out, (a,), bk)
+    return record(out, (a,), bk)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import Tensor, concat, constant, rows
 from .errors import ContractError
-from .recurrent import PlainLstmParams, _run_direction, plain_step
+from .recurrent import PlainLstmParams, bidirectional
 
 
 def _embedding_table(rng, count, dim):
@@ -83,7 +83,8 @@ class CharEncoder:
         """Encode many tokens at once.
 
         char_id_rows: list of per-token character id lists (each non-empty).
-        Returns (num_tokens, 2 * hidden).
+        Returns (num_tokens, 2 * hidden): each direction's state after its
+        last character.
         """
         if any(len(ids) == 0 for ids in char_id_rows):
             raise ContractError("cannot encode an empty token")
@@ -94,30 +95,8 @@ class CharEncoder:
         for i, ids in enumerate(char_id_rows):
             flat_ids[i * c_max: i * c_max + len(ids)] = ids
         emb_flat = rows(char_table, flat_ids)
-        base = np.arange(count) * c_max
-
-        def make_step(params):
-            def step_fn(t, state, trace):
-                return plain_step(rows(emb_flat, base + t), state, params, trace)
-            return step_fn
-
-        _, fwd_final = _run_direction(make_step(self.fwd), self.hidden, count,
-                                      c_max, lengths, reverse=False)
-        _, bwd_final = _run_direction(make_step(self.bwd), self.hidden, count,
-                                      c_max, lengths, reverse=True)
-        return concat([fwd_final.h, bwd_final.h], axis=1)
-
-    def encode(self, char_table, char_ids):
-        """Single-token convenience wrapper: returns shape (2 * hidden,)."""
-        out = self.encode_batch(char_table, [list(char_ids)])
-        return out.reshape((self.output_dim,))
-
-
-def char_encode(token, vocab, char_table, encoder):
-    """Encode one surface token string into its character summary vector."""
-    if len(token) == 0:
-        raise ContractError("cannot encode an empty token")
-    return encoder.encode(char_table, [vocab.char_id(c) for c in token])
+        return bidirectional(emb_flat, None, lengths, self.fwd, self.bwd,
+                             final=True)
 
 
 def scatter_token_rows(token_vectors, position_of, total_rows):

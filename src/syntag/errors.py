@@ -54,9 +54,22 @@ class DataIntegrityError(SyntagError):
 
 
 class NumericalError(SyntagError):
-    """Training produced a non-finite loss and was aborted."""
+    """A numerical guard tripped: a non-finite loss or gradient, or a
+    failed gradient audit.
 
-    def __init__(self, message, epoch=None, batch=None):
+    ``epoch``, ``batch`` and ``parameter`` locate the failure when known,
+    and the message names whichever are set.
+    """
+
+    def __init__(self, message, epoch=None, batch=None, parameter=None):
         super().__init__(message)
         self.epoch = epoch
         self.batch = batch
+        self.parameter = parameter
+
+    def __str__(self):
+        where = [f"{key} {value!r}" for key, value in
+                 (("epoch", self.epoch), ("batch", self.batch),
+                  ("parameter", self.parameter)) if value is not None]
+        text = super().__str__()
+        return f"{text} at {', '.join(where)}" if where else text

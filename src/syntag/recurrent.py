@@ -1,4 +1,4 @@
-"""Recurrent cells: a graph-gated LSTM and a plain LSTM.
+"""Recurrent cells: a graph-gated LSTM, a plain LSTM, and one kernel for both.
 
 The graph-gated cell consumes two streams per position: the token input x_t
 and a graph-encoded vector g_t. Four sigmoid gates control the state update:
@@ -14,13 +14,31 @@ graph stream, and the cell state accumulates both:
     h_t = o * tanh(c_t)
 
 The plain LSTM drops everything graph-related and is used for the character
-encoder and the sequence-only baseline.
+encoder and the sequence-only baselines.
 
-All step functions operate on batches of row vectors: x is (B, D), states
-are (B, H). Initial states are zero. The closed-form expansion of the cell
-state (a weighted sum over all candidate vectors seen so far, with weights
-built from gate products) is implemented alongside the recurrence as an
-independent oracle; the two must agree to float64 accuracy.
+One numpy kernel runs every recurrence in the package. Its gate columns are
+ordered ``[i, c, f, o | m, s]`` (c and s are the token and graph
+candidates): the token stream feeds the first 4H columns, the graph stream,
+when there is one, columns 2H-6H, and the previous hidden state all of them.
+Each timestep is three GEMMs into one (B, 6H) pre-activation (two into
+(B, 4H) for the plain cell), and sigmoid is ``0.5 * (1 + tanh(x / 2))``.
+Positions at or beyond a sentence's length carry the state forward, so
+padding never reaches a shorter sentence. The per-block weights stay the
+stored parameters: the kernel concatenates them into this layout on each
+call and splits the gradients back.
+
+Under a tape, each direction is one tape node with a hand-written BPTT
+backward: the reverse loop only carries the h and c gradients, and the
+weight and input gradients are single matmuls after it. With no tape active
+the kernel keeps no backward caches, only the gate activations when a trace
+is asked for.
+
+``graph_step`` and ``plain_step`` are the same cells as chains of tape ops,
+one step at a time. The model never calls them: they are the reference the
+kernel is tested against, and they are themselves tested against scalar
+transcriptions and against the closed-form expansion of the cell state
+(``expand_cell_state``), which never runs the recurrence for c. All states
+are batches of row vectors, (B, H), and start at zero.
 """
 
 from __future__ import annotations
@@ -30,11 +48,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, concat, constant, matmul, rows, sigmoid, tanh
+from .autodiff import Tensor, constant, matmul, rows, sigmoid, tanh
 from .errors import ContractError, DimensionError
 from .initializers import glorot, zeros
 
 GATE_NAMES = ("f", "i", "m", "o")
+_SIGMOID_GATES = frozenset("ifom")
 
 
 @dataclass
@@ -65,6 +84,7 @@ class GraphGatedParams:
         ("g_m", "g"), ("h_m", "h"), ("b_m", None),
         ("g_s", "g"), ("h_s", "h"), ("b_s", None),
     ]
+    GATES = "icfoms"  # kernel column order; the graph stream feeds "foms"
 
     def __init__(self, input_dim, graph_dim, hidden, rng):
         self.input_dim = input_dim
@@ -90,6 +110,8 @@ class PlainLstmParams:
         ("x_o", "x"), ("h_o", "h"), ("b_o", None),
         ("x_c", "x"), ("h_c", "h"), ("b_c", None),
     ]
+    GATES = "icfo"
+    graph_dim = None
 
     def __init__(self, input_dim, hidden, rng):
         self.input_dim = input_dim
@@ -152,89 +174,188 @@ def _check_step_dims(x, expect, what):
         )
 
 
-def _run_direction(step_fn, hidden, batch, n_max, lengths, reverse, trace_out=None):
-    """Drive one direction over a padded batch with masked state updates.
+def _stack(p, stream, gates):
+    """Concatenate the ``stream`` blocks of ``gates`` along the last axis."""
+    return np.concatenate([getattr(p, f"{stream}_{g}").data for g in gates],
+                          axis=-1)
 
-    step_fn(t, state, trace_dict_or_None) -> LstmState computes the raw
-    update at position t for the whole batch; positions at or beyond a
-    sentence's length keep their previous state, so shorter sentences are
-    unaffected by padding. Returns per-position h of shape (B, H) plus the
-    final state.
+
+def _direction(x, g, p, valid, reverse, out, final, keep, trace):
+    """One direction of the kernel over a padded sentence-major batch.
+
+    x is a (B * n, Dx) array, g a (B * n, Dg) array or None, and valid the
+    (B, n) mask of real positions. Writes every position's h into ``out``
+    ((B, n, H)), or with ``final`` only the state after the last step
+    ((B, H)). With ``keep`` it caches what the backward needs and returns
+    the backward function, else None. A ``trace`` dict receives the gate
+    activations as (B, n, H) arrays.
     """
-    lengths = np.asarray(lengths)
-    mask = (np.arange(n_max)[None, :] < lengths[:, None]).astype(np.float64)
-    state = zero_state(batch, hidden)
-    outputs = [None] * n_max
-    order = range(n_max - 1, -1, -1) if reverse else range(n_max)
+    batch, n = valid.shape
+    hidden = p.hidden
+    gates = p.GATES
+    width = len(gates) * hidden
+    tok, grf = 4 * hidden, 2 * hidden  # token columns [0, 4H), graph [2H, 6H)
+    w_x = _stack(p, "x", gates[:4])
+    w_h = _stack(p, "h", gates)
+    bias = _stack(p, "b", gates)
+    w_g = None if g is None else _stack(p, "g", gates[2:])
+    # sigmoid(z) = 0.5 + 0.5 * tanh(0.5 * z); tanh columns use scale 1, shift 0
+    scale = np.repeat([0.5 if gate in _SIGMOID_GATES else 1.0 for gate in gates],
+                      hidden)
+    shift = 1.0 - scale
+    x3 = x.reshape(batch, n, -1)
+    g3 = None if g is None else g.reshape(batch, n, -1)
+    acts = np.empty((batch, n, width)) if keep or trace is not None else None
+    seq = out if not final else (np.empty((batch, n, hidden)) if keep else None)
+    if keep:
+        cells = np.empty((batch, n, hidden))
+        tanh_cells = np.empty((batch, n, hidden))
+    complete = valid.all(axis=0)
+    h = np.zeros((batch, hidden))
+    c = np.zeros((batch, hidden))
+    order = range(n - 1, -1, -1) if reverse else range(n)
     for t in order:
-        trace = {} if trace_out is not None else None
-        new_state = step_fn(t, state, trace)
-        col = mask[:, t: t + 1]
-        if col.all():
-            state = new_state
-        else:
-            keep = constant(1.0 - col)
-            take_new = constant(col)
-            state = LstmState(take_new * new_state.h + keep * state.h,
-                              take_new * new_state.c + keep * state.c)
-        outputs[t] = state.h
-        if trace_out is not None:
-            trace_out[t] = trace
-    return outputs, state
+        pre = h @ w_h
+        pre[:, :tok] += x3[:, t] @ w_x
+        if g3 is not None:
+            pre[:, grf:] += g3[:, t] @ w_g
+        pre += bias
+        pre *= scale
+        np.tanh(pre, out=pre)
+        pre *= scale
+        pre += shift
+        act = pre.reshape(batch, -1, hidden)  # act[:, k] is gate gates[k]
+        c_new = act[:, 2] * c + act[:, 0] * act[:, 1]
+        if g3 is not None:
+            c_new += act[:, 4] * act[:, 5]
+        tc = np.tanh(c_new)
+        h_new = act[:, 3] * tc
+        if not complete[t]:
+            row = valid[:, t, None]
+            c_new = np.where(row, c_new, c)
+            h_new = np.where(row, h_new, h)
+        h, c = h_new, c_new
+        if seq is not None:
+            seq[:, t] = h
+        if acts is not None:
+            acts[:, t] = pre
+        if keep:
+            cells[:, t] = c
+            tanh_cells[:, t] = tc
+    if final:
+        out[...] = h
+    a = None if acts is None else acts.reshape(batch, n, len(gates), hidden)
+    if trace is not None:
+        for k, gate in enumerate(gates):
+            if gate in GATE_NAMES:
+                trace[gate] = a[:, :, k]
+    if not keep:
+        return None
+
+    def backward(grad):
+        # States before each step, in processing order (zero before the first).
+        h_prev = np.zeros((batch, n, hidden))
+        c_prev = np.zeros((batch, n, hidden))
+        before, after = (slice(1, None), slice(None, -1))
+        if reverse:
+            before, after = after, before
+        h_prev[:, before] = seq[:, after]
+        c_prev[:, before] = cells[:, after]
+        gate = dict(zip(gates, np.moveaxis(a, 2, 0)))
+        # d pre-activation = (d c or d h) * partner * activation derivative;
+        # the per-step loop below only supplies the d c / d h factor.
+        partner = {"i": gate["c"], "c": gate["i"], "f": c_prev, "o": tanh_cells,
+                   "m": gate.get("s"), "s": gate.get("m")}
+        dpre = np.empty_like(a)
+        for k, name in enumerate(gates):
+            act = gate[name]
+            slope = act * (1.0 - act) if name in _SIGMOID_GATES else 1.0 - act * act
+            np.multiply(partner[name], slope, out=dpre[:, :, k])
+        mask = valid[:, :, None]
+        dpre *= mask[..., None]
+        gain = gate["o"] * (1.0 - tanh_cells * tanh_cells) * mask  # dh -> dc
+        forget = np.where(mask, gate["f"], 1.0)  # padded steps pass dc through
+        seq_grad = None if final else grad.reshape(batch, n, hidden)
+        dh = grad.copy() if final else np.zeros((batch, hidden))
+        dc = np.zeros((batch, hidden))
+        w_h_t = w_h.T
+        for t in reversed(order):
+            if seq_grad is not None:
+                dh = dh + seq_grad[:, t]
+            dc = dc + dh * gain[:, t]
+            step = dpre[:, t]
+            step[:, 3] *= dh
+            step[:, :3] *= dc[:, None]
+            step[:, 4:] *= dc[:, None]
+            dc = dc * forget[:, t]
+            dh_prev = step.reshape(batch, width) @ w_h_t
+            if not complete[t]:
+                dh_prev += np.where(valid[:, t, None], 0.0, dh)
+            dh = dh_prev
+        d2 = dpre.reshape(batch * n, width)
+        full_grads = {"x": (x.T @ d2[:, :tok], 0),
+                      "h": (h_prev.reshape(batch * n, hidden).T @ d2, 0),
+                      "b": (d2.sum(axis=0), 0)}
+        input_grads = (d2[:, :tok] @ w_x.T,)
+        if g is not None:
+            full_grads["g"] = (g.T @ d2[:, grf:], grf)
+            input_grads += (d2[:, grf:] @ w_g.T,)
+        blocks = []
+        for name, _ in p.BLOCKS:
+            full, offset = full_grads[name[0]]
+            lo = gates.index(name[2]) * hidden - offset
+            blocks.append(full[..., lo: lo + hidden])
+        return input_grads + tuple(blocks)
+
+    return backward
+
+
+def bidirectional(x, g, lengths, fwd, bwd, final=False, trace_sink=None):
+    """Both directions of the kernel over a padded sentence-major batch.
+
+    x is (B * n_max, Dx) with row b * n_max + t holding sentence b, position
+    t; g likewise for the graph-gated cell, None for the plain one. Returns
+    (B * n_max, 2H), each row the forward and backward hidden states at that
+    position, or with ``final`` the (B, 2H) states after each direction's
+    last step. When trace_sink is a dict, each direction's gate activations
+    are stored under "fwd" and "bwd" as dicts of (B, n_max, H) arrays.
+    """
+    if (g is None) != (fwd.graph_dim is None):
+        raise ContractError("a graph stream needs graph-gated parameters and vice versa")
+    _check_step_dims(x, fwd.input_dim, "token input")
+    if g is not None:
+        _check_step_dims(g, fwd.graph_dim, "graph input")
+    batch = len(lengths)
+    n_max = x.data.shape[0] // batch
+    hidden = fwd.hidden
+    valid = np.arange(n_max)[None, :] < np.asarray(lengths)[:, None]
+    out = np.empty((batch, 2 * hidden) if final else (batch, n_max, 2 * hidden))
+    flat = out.reshape(-1, 2 * hidden)
+    halves = []
+    for side, p in enumerate((fwd, bwd)):
+        cols = slice(side * hidden, (side + 1) * hidden)
+        inputs = (x,) + (() if g is None else (g,)) + tuple(p.parameters().values())
+        trace = None
+        if trace_sink is not None:
+            trace = trace_sink[("fwd", "bwd")[side]] = {}
+        backward_fn = _direction(
+            x.data, None if g is None else g.data, p, valid, side == 1,
+            out[..., cols], final, ad.recording(inputs), trace)
+        halves.append(ad.record(Tensor(flat[:, cols]), inputs, backward_fn))
+    return ad.record(Tensor(flat), halves,
+                     lambda grad: (grad[:, :hidden], grad[:, hidden:]))
 
 
 def run_graph_bidirectional_batch(x_flat, g_flat, lengths, fwd, bwd,
                                   trace_sink=None):
-    """Bidirectional graph-gated pass over a padded batch.
-
-    x_flat is (B * n_max, Dx) with row b * n_max + t holding sentence b,
-    position t; g_flat likewise. Returns (B * n_max, 2H) where each row
-    concatenates the forward and backward hidden states at that position.
-    When trace_sink is a dict, per-direction gate activations are stored
-    under keys "fwd" and "bwd" as lists (over t) of gate dicts of (B, H).
-    """
-    batch = len(lengths)
-    n_max = x_flat.data.shape[0] // batch
-    base = np.arange(batch) * n_max
-
-    def make_step(params):
-        def step_fn(t, state, trace):
-            idx = base + t
-            return graph_step(rows(x_flat, idx), rows(g_flat, idx), state, params, trace)
-        return step_fn
-
-    return _run_bidi(make_step, fwd, bwd, batch, n_max, lengths, trace_sink)
+    """Bidirectional graph-gated pass over a padded batch: (B * n_max, 2H)."""
+    return bidirectional(x_flat, g_flat, lengths, fwd, bwd,
+                         trace_sink=trace_sink)
 
 
 def run_plain_bidirectional_batch(x_flat, lengths, fwd, bwd, trace_sink=None):
-    """Bidirectional plain-LSTM pass over a padded batch (see above)."""
-    batch = len(lengths)
-    n_max = x_flat.data.shape[0] // batch
-    base = np.arange(batch) * n_max
-
-    def make_step(params):
-        def step_fn(t, state, trace):
-            return plain_step(rows(x_flat, base + t), state, params, trace)
-        return step_fn
-
-    return _run_bidi(make_step, fwd, bwd, batch, n_max, lengths, trace_sink)
-
-
-def _run_bidi(make_step, fwd, bwd, batch, n_max, lengths, trace_sink):
-    fwd_traces = [None] * n_max if trace_sink is not None else None
-    bwd_traces = [None] * n_max if trace_sink is not None else None
-    fwd_out, _ = _run_direction(make_step(fwd), fwd.hidden, batch, n_max,
-                                lengths, reverse=False, trace_out=fwd_traces)
-    bwd_out, _ = _run_direction(make_step(bwd), bwd.hidden, batch, n_max,
-                                lengths, reverse=True, trace_out=bwd_traces)
-    if trace_sink is not None:
-        trace_sink["fwd"] = fwd_traces
-        trace_sink["bwd"] = bwd_traces
-    # Stack timesteps (t-major), then permute rows back to sentence-major
-    # order so row b * n_max + t lines up with the input layout.
-    both = concat([concat(fwd_out, axis=0), concat(bwd_out, axis=0)], axis=1)
-    perm = (np.arange(n_max)[None, :] * batch + np.arange(batch)[:, None]).ravel()
-    return rows(both, perm)
+    """Bidirectional plain-LSTM pass over a padded batch: (B * n_max, 2H)."""
+    return bidirectional(x_flat, None, lengths, fwd, bwd, trace_sink=trace_sink)
 
 
 def run_bidirectional(x, g, fwd, bwd, trace_sink=None):
@@ -278,20 +399,9 @@ class GateTrace:
 def extract_traces(trace_sink, lengths, gate_names=GATE_NAMES):
     """Slice a batched trace sink into per-sentence GateTrace objects."""
     fwd, bwd = trace_sink["fwd"], trace_sink["bwd"]
-    traces = []
-    for b, n in enumerate(lengths):
-        arrays = {}
-        for gate in gate_names:
-            if gate not in fwd[0]:
-                continue
-            hidden = fwd[0][gate].shape[1]
-            arr = np.empty((n, 2, hidden))
-            for t in range(n):
-                arr[t, 0] = fwd[t][gate][b]
-                arr[t, 1] = bwd[t][gate][b]
-            arrays[gate] = arr
-        traces.append(GateTrace(arrays))
-    return traces
+    return [GateTrace({gate: np.stack([fwd[gate][b, :n], bwd[gate][b, :n]], axis=1)
+                       for gate in gate_names if gate in fwd})
+            for b, n in enumerate(lengths)]
 
 
 def expand_cell_state(x_seq, g_seq, params, t, return_weights=False):

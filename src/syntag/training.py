@@ -46,12 +46,17 @@ def clip_gradients(params, max_norm):
     """Scale all gradients so their global L2 norm is at most max_norm.
 
     Returns the norm before clipping. max_norm of 0 disables clipping.
+    A norm that is not finite raises NumericalError before any gradient is
+    touched, naming the parameter with a non-finite gradient (or, if every
+    gradient is finite and only the sum overflows, the largest one).
     """
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
-    norm = float(np.sqrt(total))
+    squares = {name: float((p.grad * p.grad).sum())
+               for name, p in params.items() if p.grad is not None}
+    norm = float(np.sqrt(sum(squares.values())))
+    if not np.isfinite(norm):
+        bad = next((name for name, sq in squares.items() if not np.isfinite(sq)),
+                   max(squares, key=squares.get))
+        raise NumericalError(f"gradient norm {norm!r}", parameter=bad)
     if max_norm > 0.0 and norm > max_norm:
         scale = max_norm / norm
         for p in params.values():
@@ -373,7 +378,11 @@ def train(config, train_corpus, dev_corpus):
                         epoch=epoch, batch=batch_index,
                     )
                 backward(loss)
-            clip_gradients(model.parameters(), cfg.clip_norm)
+            try:
+                clip_gradients(model.parameters(), cfg.clip_norm)
+            except NumericalError as exc:
+                exc.epoch, exc.batch = epoch, batch_index
+                raise
             sgd_step(model.parameters(), rate, cfg.l2)
             total_nll += value * len(batch)
         epoch_losses.append(total_nll / count)

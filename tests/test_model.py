@@ -1,13 +1,18 @@
 """Model assembly tests: variants, invariances, dropout, configuration."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syntag.autodiff import Tape, backward
 from syntag.data import build_vocab
 from syntag.errors import ContractError, FormatError
 from syntag.gradcheck import check_model_variant, random_instances
 from syntag.model import ModelConfig, SequenceTagger, VARIANTS
+from syntag.synthetic import generate_corpus
 from syntag.training import random_tree_heads
 
 
@@ -198,6 +203,32 @@ class TestInvariances:
             single = model.forward_batch([s])
             got = fw.emissions.data[b * n_max: b * n_max + len(s)]
             assert np.allclose(single.emissions.data, got, atol=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def _partner_model(variant):
+    corpus = generate_corpus(12, seed=8)
+    cfg = tiny_config(variant=variant)
+    model = SequenceTagger(cfg, build_vocab(corpus),
+                           rng=np.random.default_rng(1))
+    return model, corpus
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_emissions_do_not_depend_on_batch_partners(variant, data):
+    model, corpus = _partner_model(variant)
+    pick = st.integers(0, len(corpus) - 1)
+    target = data.draw(pick, label="target")
+    partners = data.draw(st.lists(pick, max_size=4), label="partners")
+    slot = data.draw(st.integers(0, len(partners)), label="slot")
+    batch = [corpus[i] for i in partners[:slot] + [target] + partners[slot:]]
+    fw = model.forward_batch(batch)
+    n = len(corpus[target])
+    alone = model.forward_batch([corpus[target]]).emissions.data
+    got = fw.emissions.data[slot * fw.n_max: slot * fw.n_max + n]
+    np.testing.assert_allclose(got, alone, rtol=0, atol=1e-12)
 
 
 class TestDropout:

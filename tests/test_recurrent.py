@@ -5,7 +5,7 @@ import pytest
 
 from syntag import autodiff as ad
 from syntag import recurrent as rc
-from syntag.errors import DimensionError
+from syntag.errors import ContractError, DimensionError
 from syntag.gradcheck import check_gradients
 
 
@@ -296,3 +296,168 @@ class TestCellGradients:
 
         report = check_gradients(loss, p.parameters(), step=1e-5, floor=1e-3)
         assert report.max_rel_err < 1e-4, report.per_param
+
+
+LENGTHS = [5, 2, 3]
+
+
+def _padded(rng, dim, lengths=LENGTHS):
+    """Sentence-major rows; the padded rows hold noise that must not leak."""
+    return ad.Tensor(rng.uniform(-1, 1, (len(lengths) * max(lengths), dim)),
+                     requires_grad=True)
+
+
+def _kernel_case(graph, seed):
+    rng = np.random.default_rng(seed)
+    if graph:
+        fwd = rc.GraphGatedParams(3, 2, 4, rng)
+        bwd = rc.GraphGatedParams(3, 2, 4, rng)
+        g = _padded(rng, 2)
+    else:
+        fwd = rc.PlainLstmParams(3, 4, rng)
+        bwd = rc.PlainLstmParams(3, 4, rng)
+        g = None
+    return fwd, bwd, _padded(rng, 3), g, rng
+
+
+def _run(x, g, fwd, bwd, lengths=LENGTHS, trace_sink=None):
+    if g is None:
+        return rc.run_plain_bidirectional_batch(x, lengths, fwd, bwd,
+                                                trace_sink=trace_sink)
+    return rc.run_graph_bidirectional_batch(x, g, lengths, fwd, bwd,
+                                            trace_sink=trace_sink)
+
+
+def _step_chain(x, g, fwd, bwd, lengths=LENGTHS):
+    """The kernel's job done by the reference steps, one sentence at a time.
+
+    Returns the (n, 2H) outputs and the per-sentence gate traces.
+    """
+    n_max = max(lengths)
+    outputs, traces = [], []
+    for b, n in enumerate(lengths):
+        halves, gates = [], {}
+        for side, p in enumerate((fwd, bwd)):
+            order = range(n - 1, -1, -1) if side else range(n)
+            state = rc.zero_state(1, p.hidden)
+            hs = [None] * n
+            for t in order:
+                idx = np.array([b * n_max + t])
+                trace = {}
+                if g is None:
+                    state = rc.plain_step(ad.rows(x, idx), state, p, trace)
+                else:
+                    state = rc.graph_step(ad.rows(x, idx), ad.rows(g, idx),
+                                          state, p, trace)
+                hs[t] = state.h
+                for gate, value in trace.items():
+                    gates.setdefault(gate, np.empty((n, 2, p.hidden)))[t, side] = value[0]
+            halves.append(ad.concat(hs, axis=0))
+        outputs.append(ad.concat(halves, axis=1))
+        traces.append(gates)
+    return outputs, traces
+
+
+class TestKernel:
+    @pytest.mark.parametrize("graph", [True, False], ids=["graph", "plain"])
+    def test_matches_chain_of_reference_steps(self, graph):
+        fwd, bwd, x, g, rng = _kernel_case(graph, seed=21)
+        n_max = max(LENGTHS)
+        weights = [rng.normal(size=(n, 8)) for n in LENGTHS]
+        params = {f"{side}.{name}": t for side, p in (("fwd", fwd), ("bwd", bwd))
+                  for name, t in p.parameters().items()}
+        tracked = dict(params, x=x, **({} if g is None else {"g": g}))
+
+        def grads(loss_fn):
+            ad.clear_grads(tracked)
+            with ad.Tape():
+                loss = loss_fn()
+                ad.backward(loss)
+            return {name: t.grad.copy() for name, t in tracked.items()}
+
+        sink = {}
+        out = _run(x, g, fwd, bwd, trace_sink=sink)
+        chain, chain_traces = _step_chain(x, g, fwd, bwd)
+        for b, n in enumerate(LENGTHS):
+            np.testing.assert_allclose(out.data[b * n_max: b * n_max + n],
+                                       chain[b].data, rtol=0, atol=1e-14)
+        for got, want in zip(rc.extract_traces(sink, LENGTHS), chain_traces):
+            assert sorted(got.arrays) == sorted(want)
+            for gate in want:
+                np.testing.assert_allclose(got.values(gate), want[gate],
+                                           rtol=0, atol=1e-14)
+
+        def kernel_loss():
+            out = _run(x, g, fwd, bwd)
+            return sum((ad.rows(out, np.arange(b * n_max, b * n_max + n))
+                        * ad.constant(w)).sum()
+                       for b, (n, w) in enumerate(zip(LENGTHS, weights)))
+
+        def chain_loss():
+            outs, _ = _step_chain(x, g, fwd, bwd)
+            return sum((o * ad.constant(w)).sum() for o, w in zip(outs, weights))
+
+        got, want = grads(kernel_loss), grads(chain_loss)
+        for name in tracked:
+            np.testing.assert_allclose(got[name], want[name], rtol=0,
+                                       atol=1e-13, err_msg=name)
+
+    @pytest.mark.parametrize("graph", [True, False], ids=["graph", "plain"])
+    def test_padded_batch_gradients_match_finite_differences(self, graph):
+        fwd, bwd, x, g, rng = _kernel_case(graph, seed=22)
+        # Padded rows carry weight too: the forward direction copies the last
+        # real state there, so their gradient must reach that state.
+        weights = ad.constant(rng.normal(size=(x.data.shape[0], 8)))
+        params = {f"{side}.{name}": t for side, p in (("fwd", fwd), ("bwd", bwd))
+                  for name, t in p.parameters().items()}
+        params["x"] = x
+        if g is not None:
+            params["g"] = g
+
+        def loss():
+            return (_run(x, g, fwd, bwd) * weights).sum()
+
+        report = check_gradients(loss, params, step=1e-5, floor=1e-3)
+        assert report.max_rel_err < 1e-4, report.per_param
+
+    def test_final_state_gradients_match_finite_differences(self):
+        fwd, bwd, x, _, rng = _kernel_case(False, seed=23)
+        weights = ad.constant(rng.normal(size=(len(LENGTHS), 8)))
+        params = {f"{side}.{name}": t for side, p in (("fwd", fwd), ("bwd", bwd))
+                  for name, t in p.parameters().items()}
+        params["x"] = x
+
+        def loss():
+            return (rc.bidirectional(x, None, LENGTHS, fwd, bwd, final=True)
+                    * weights).sum()
+
+        report = check_gradients(loss, params, step=1e-5, floor=1e-3)
+        assert report.max_rel_err < 1e-4, report.per_param
+
+    def test_final_states_are_last_real_positions(self):
+        fwd, bwd, x, _, _ = _kernel_case(False, seed=24)
+        n_max = max(LENGTHS)
+        seq = _run(x, None, fwd, bwd).data.reshape(len(LENGTHS), n_max, 8)
+        final = rc.bidirectional(x, None, LENGTHS, fwd, bwd, final=True).data
+        for b, n in enumerate(LENGTHS):
+            np.testing.assert_array_equal(final[b, :4], seq[b, n - 1, :4])
+            np.testing.assert_array_equal(final[b, 4:], seq[b, 0, 4:])
+
+    def test_one_tape_node_per_direction(self):
+        fwd, bwd, x, g, _ = _kernel_case(True, seed=25)
+        with ad.Tape() as tape:
+            out = _run(x, g, fwd, bwd)
+        # one node per direction plus the node joining their columns
+        assert len(tape._nodes) == 3
+        assert out.requires_grad
+        assert not _run(x, g, fwd, bwd).requires_grad  # no tape, no record
+
+    def test_graph_stream_needs_graph_params(self):
+        fwd, bwd, x, g, _ = _kernel_case(False, seed=26)
+        with pytest.raises(ContractError):
+            rc.bidirectional(x, ad.constant(np.zeros((15, 2))), LENGTHS, fwd, bwd)
+        gfwd, gbwd, _, g, _ = _kernel_case(True, seed=26)
+        with pytest.raises(ContractError):
+            rc.bidirectional(x, None, LENGTHS, gfwd, gbwd)
+        with pytest.raises(DimensionError):
+            rc.bidirectional(ad.constant(np.zeros((15, 5))), g, LENGTHS, gfwd, gbwd)

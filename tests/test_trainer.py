@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from syntag import autodiff as ad
 from syntag.autodiff import Tensor
 from syntag.data import (build_vocab, parse_corpus, serialize_corpus,
                          validate_tree)
@@ -94,6 +95,28 @@ class TestClipGradients:
         clip_gradients({"p": p, "q": q}, max_norm=1.0)
         total = np.sqrt(p.grad[0] ** 2 + q.grad[0] ** 2)
         assert total == pytest.approx(1.0)
+
+    def test_non_finite_gradient_raises_before_scaling(self):
+        p = Tensor(np.zeros(2), requires_grad=True)
+        q = Tensor(np.zeros(2), requires_grad=True)
+        p.grad = np.array([3.0, 4.0])
+        q.grad = np.array([np.inf, 1.0])
+        with pytest.raises(NumericalError, match="'q'") as info:
+            clip_gradients({"p": p, "q": q}, max_norm=1.0)
+        assert info.value.parameter == "q"
+        assert np.array_equal(p.grad, [3.0, 4.0])
+        # clipping switched off still refuses a non-finite norm
+        with pytest.raises(NumericalError):
+            clip_gradients({"p": p, "q": q}, max_norm=0.0)
+
+    def test_overflowing_norm_names_the_largest_gradient(self):
+        p = Tensor(np.zeros(1), requires_grad=True)
+        q = Tensor(np.zeros(1), requires_grad=True)
+        p.grad = np.array([1.2e154])
+        q.grad = np.array([1.3e154])
+        with pytest.raises(NumericalError) as info:
+            clip_gradients({"p": p, "q": q}, max_norm=1.0)
+        assert info.value.parameter == "q"
 
 
 class TestRandomTrees:
@@ -262,6 +285,34 @@ class TestTrainLoop:
             train(small_config(epochs=2), train_c, dev_c)
         assert info.value.epoch == 1
         assert info.value.batch == 2
+
+    def test_non_finite_gradient_raises_with_location(self, monkeypatch):
+        train_c, dev_c = self.make_corpus()
+        seen = {"count": 0}
+        orig = SequenceTagger.loss_batch
+
+        def poisoned(self, sentences, train=False, rng=None):
+            loss = orig(self, sentences, train=train, rng=rng)
+            if train:
+                seen["count"] += 1
+                if seen["count"] == 3:
+                    seen["before"] = snapshot_params(self)
+                    seen["model"] = self
+                    target = self.cell_fwd.h_f
+                    # adds 0 to the loss, but sends an inf gradient to h_f
+                    zero = ad.record(Tensor(0.0), (target,), lambda g: (
+                        np.full(target.data.shape, np.inf),))
+                    loss = loss + zero
+            return loss
+
+        monkeypatch.setattr(SequenceTagger, "loss_batch", poisoned)
+        with pytest.raises(NumericalError) as info:
+            train(small_config(epochs=2), train_c, dev_c)
+        assert (info.value.epoch, info.value.batch) == (1, 2)
+        assert info.value.parameter == "cell_fwd.h_f"
+        assert "epoch 1, batch 2, parameter 'cell_fwd.h_f'" in str(info.value)
+        after = snapshot_params(seen["model"])
+        assert all(np.array_equal(after[k], v) for k, v in seen["before"].items())
 
     def test_empty_corpus_rejected(self):
         train_c, dev_c = self.make_corpus()
