@@ -260,6 +260,43 @@ def viterbi(lattice, trans):
     return ys, float(prefix + stop_col[prev])
 
 
+def viterbi_batch(em, lengths, trans):
+    """``viterbi`` over a padded batch: (id list per sentence, score array).
+
+    em is (B, n_max, L); positions at or beyond a sentence's length are
+    ignored. Every element goes through the same operations in the same
+    order as in ``viterbi``, so paths, scores and tie-breaks are identical.
+    """
+    em = np.asarray(em)
+    t = trans.data if isinstance(trans, Tensor) else np.asarray(trans)
+    lengths = np.asarray(lengths)
+    batch, n_max, L = em.shape
+    if lengths.shape != (batch,) or lengths.min() < 1 or lengths.max() > n_max:
+        raise DimensionError(
+            f"lengths {lengths.tolist()} do not fit emissions {em.shape}")
+    inner = t[:L, :L]
+    stop_col = t[:L, L + 1]
+    beta = np.empty((batch, n_max, L))
+    beta[:, n_max - 1] = stop_col
+    for s in range(n_max - 2, -1, -1):
+        new = np.max(inner + em[:, s + 1, None] + beta[:, s + 1, None], axis=2)
+        beta[:, s] = np.where((s < lengths - 1)[:, None], new, stop_col)
+    ar = np.arange(batch)
+    path = np.zeros((batch, n_max), dtype=np.intp)
+    prefix = np.zeros(batch)
+    prev = np.full(batch, L)  # START: row L of t is the first arrival
+    for s in range(n_max):
+        arrival = t[prev, :L]
+        v = prefix[:, None] + arrival + em[:, s] + beta[:, s]
+        j = np.argmax(v == v.max(axis=1, keepdims=True), axis=1)
+        path[:, s] = j
+        live = s < lengths
+        prefix = np.where(live, prefix + arrival[ar, j] + em[ar, s, j], prefix)
+        prev = np.where(live, j, prev)
+    paths = [path[b, :n].tolist() for b, n in enumerate(lengths)]
+    return paths, prefix + stop_col[prev]
+
+
 def brute_force(lattice, trans, size_guard=10 ** 6):
     """Exhaustive enumeration oracle: (logZ, lexicographically-first argmax)."""
     em, t = _as_arrays(lattice, trans)
@@ -313,6 +350,7 @@ __all__ = [
     "log_partition",
     "nll",
     "viterbi",
+    "viterbi_batch",
     "brute_force",
     "brute_force_marginals",
 ]

@@ -257,15 +257,20 @@ class SequenceTagger:
         pos_ids = np.zeros(total, dtype=np.intp)
         deprel_ids = np.zeros(total, dtype=np.intp)
         position_of = np.full(total, -1, dtype=np.intp)
+        # One char row per distinct form; repeats gather the same row, and
+        # ``rows`` scatter-adds their gradients back into it.
         char_rows = []
+        form_row = {}
         for b, s in enumerate(sentences):
             for t, tok in enumerate(s.tokens):
                 r = b * n_max + t
                 word_ids[r] = vocab.word_id(tok)
                 pos_ids[r] = vocab.pos_id(s.pos_tags[t])
                 deprel_ids[r] = vocab.deprel_id(s.deprels[t])
-                position_of[r] = len(char_rows)
-                char_rows.append([vocab.char_id(c) for c in tok])
+                if tok not in form_row:
+                    form_row[tok] = len(char_rows)
+                    char_rows.append([vocab.char_id(c) for c in tok])
+                position_of[r] = form_row[tok]
         return (batch, lengths, n_max, word_ids, pos_ids, deprel_ids,
                 position_of, char_rows)
 
@@ -348,28 +353,25 @@ class SequenceTagger:
         return crf_mod.nll_batch(fw.emissions, fw.lengths, trans, gold)
 
     def predict(self, sentences, batch_size=32):
-        """Viterbi label sequences (raw label names) for each sentence."""
-        out = []
-        for lo in range(0, len(sentences), batch_size):
-            chunk = sentences[lo: lo + batch_size]
-            fw = self.forward_batch(chunk, train=False)
-            trans = self.crf.effective_transitions()
-            em = fw.emissions.data
-            for b, s in enumerate(chunk):
-                n = fw.lengths[b]
-                lattice = crf_mod.TagLattice(
-                    n, constant(em[b * fw.n_max: b * fw.n_max + n]))
-                ids, _ = crf_mod.viterbi(lattice, trans)
-                out.append([self.vocab.label_names[i] for i in ids])
-        return out
+        """Viterbi label sequences (raw label names) for each sentence.
 
-    def forward_sentence(self, sentence, want_trace=False):
-        """Single-sentence pass: (TagLattice, GateTrace or None)."""
-        fw = self.forward_batch([sentence], want_traces=want_trace)
-        n = fw.lengths[0]
-        lattice = crf_mod.TagLattice(n, constant(fw.emissions.data[:n]))
-        trace = fw.traces[0] if want_trace else None
-        return lattice, trace
+        Sentences are run in batches of similar length to cut padding: a
+        stable sort by length, ``batch_size`` consecutive sentences per
+        forward pass, results written back in input order. A sentence's
+        labels do not depend on which sentences share its batch.
+        """
+        order = sorted(range(len(sentences)), key=lambda i: len(sentences[i]))
+        trans = self.crf.effective_transitions()
+        names = self.vocab.label_names
+        out = [None] * len(sentences)
+        for lo in range(0, len(order), batch_size):
+            chunk = order[lo: lo + batch_size]
+            fw = self.forward_batch([sentences[i] for i in chunk])
+            em = fw.emissions.data.reshape(len(chunk), fw.n_max, -1)
+            paths, _ = crf_mod.viterbi_batch(em, fw.lengths, trans)
+            for i, ids in zip(chunk, paths):
+                out[i] = [names[k] for k in ids]
+        return out
 
     def gate_traces(self, sentences, batch_size=32):
         """GateTrace per sentence from inference-mode forward passes."""

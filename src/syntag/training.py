@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import heapq
 import json
+import os
 import struct
 from collections import deque
 from dataclasses import dataclass
@@ -217,6 +219,10 @@ def save_checkpoint(ckpt, path):
     Layout (little-endian): 4-byte magic, u16 version, u64 metadata length,
     UTF-8 JSON metadata, then one record per tensor: u16 name length, name,
     u16 rank, rank u64 dims, and the row-major float64 payload.
+
+    The file is written beside ``path`` under a temporary name and renamed
+    over it only once complete, so a save that fails or is interrupted
+    leaves any previous checkpoint at ``path`` untouched.
     """
     meta = {
         "config": dataclasses.asdict(ckpt.config),
@@ -225,19 +231,28 @@ def save_checkpoint(ckpt, path):
         "best_epoch": ckpt.best_epoch,
     }
     blob = json.dumps(meta, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<H", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for name, arr in ckpt.params.items():
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            a = np.ascontiguousarray(arr, dtype=np.float64)
-            fh.write(struct.pack("<H", a.ndim))
-            fh.write(struct.pack(f"<{a.ndim}Q", *a.shape))
-            fh.write(a.astype("<f8", copy=False).tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<H", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for name, arr in ckpt.params.items():
+                nb = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(nb)))
+                fh.write(nb)
+                a = np.ascontiguousarray(arr, dtype=np.float64)
+                fh.write(struct.pack("<H", a.ndim))
+                fh.write(struct.pack(f"<{a.ndim}Q", *a.shape))
+                fh.write(a.astype("<f8", copy=False).tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(fh, count, what):

@@ -16,7 +16,7 @@ from syntag import crf
 from syntag import gcn
 from syntag import recurrent as rc
 from syntag.gradcheck import check_model_variant
-from syntag.model import VARIANTS
+from syntag.model import VARIANTS, SequenceTagger
 from syntag.evaluation import entity_f1
 from syntag.synthetic import experiment_config, generate_corpus, generate_splits
 from syntag.training import (build_model, epoch_lr, load_checkpoint,
@@ -220,12 +220,29 @@ def test_determinism_and_round_trip(tmp_path):
     assert first.dev_f1s == second.dev_f1s
 
     path = tmp_path / "round.ckpt"
-    save_checkpoint(first.checkpoint, path)
+    ckpt = first.checkpoint
+    save_checkpoint(ckpt, path)
     model = build_model(load_checkpoint(path))
-    dev_f1 = _corpus_f1(model, prepare_corpus(dev_c, cfg))
-    assert dev_f1 == first.checkpoint.best_dev_f1
+    dev_t = prepare_corpus(dev_c, cfg)
+    dev_f1 = _corpus_f1(model, dev_t)
+    assert dev_f1 == ckpt.best_dev_f1
+
+    # The dev F1 alone cannot tell a faithful reload from a broken one when
+    # it is 0, so compare the weights and what they compute, bit for bit.
+    reloaded = model.named_tensors()
+    assert reloaded.keys() == ckpt.params.keys()
+    for name, arr in ckpt.params.items():
+        assert reloaded[name].data.tobytes() == arr.tobytes(), name
+    emissions = model.forward_batch(dev_t).emissions.data
+    in_memory = build_model(ckpt).forward_batch(dev_t).emissions.data
+    fresh = SequenceTagger(ckpt.config, ckpt.vocab,
+                           rng=np.random.default_rng(ckpt.config.seed))
+    assert emissions.tobytes() == in_memory.tobytes()
+    assert not np.array_equal(emissions,
+                              fresh.forward_batch(dev_t).emissions.data)
     print(f"PASS determinism: identical loss curves over 4 epochs; "
-          f"reloaded dev f1 {dev_f1:.4f} matches saved value exactly")
+          f"reloaded dev f1 {dev_f1:.4f} matches saved value exactly; "
+          f"{len(ckpt.params)} tensors and the dev emissions reload bit for bit")
 
 
 def test_learning_rate_schedule():

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from syntag import autodiff as ad
 from syntag import crf
@@ -51,6 +54,17 @@ class TestScoreSequence:
         lat = crf.TagLattice(1, ad.constant([[0.0, 0.0]]))
         with pytest.raises(ContractError):
             crf.score_sequence(lat, _zero_trans(2), [5])
+
+
+def _tied_arrays(data, em_shape, L):
+    """Small-integer emissions and masked transitions: exact ties are common."""
+    small = st.integers(-2, 2)
+    em = data.draw(arrays(np.int64, em_shape, elements=small), label="em")
+    learned = data.draw(arrays(np.int64, (L + 2, L + 2), elements=small),
+                        label="trans")
+    p = crf.CrfParams(L, 4, np.random.default_rng(0))
+    p.transitions.data[...] = learned
+    return em.astype(np.float64), p.effective_transitions().data
 
 
 class TestLogPartition:
@@ -172,6 +186,34 @@ class TestViterbi:
             assert path == best
             ref = crf.score_sequence(lat, trans, path).item()
             np.testing.assert_allclose(score, ref, rtol=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force_with_exact_ties(self, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        L = data.draw(st.integers(1, 3), label="L")
+        em, trans = _tied_arrays(data, (n, L), L)
+        lat = crf.TagLattice(n, ad.constant(em))
+        path, score = crf.viterbi(lat, trans)
+        _, best = crf.brute_force(lat, trans)
+        assert path == best
+        scores, _ = crf._enumerate_scores(em, trans)
+        assert score == scores.max()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_batch_matches_single_sentences(self, data):
+        L = data.draw(st.integers(1, 3), label="L")
+        lengths = data.draw(st.lists(st.integers(1, 5), min_size=1,
+                                     max_size=4), label="lengths")
+        n_max = max(lengths) + data.draw(st.integers(0, 1), label="extra")
+        em, trans = _tied_arrays(data, (len(lengths), n_max, L), L)
+        paths, scores = crf.viterbi_batch(em, lengths, trans)
+        for b, n in enumerate(lengths):
+            lat = crf.TagLattice(n, ad.constant(em[b, :n]))
+            path, score = crf.viterbi(lat, trans)
+            assert paths[b] == path
+            assert np.float64(score).tobytes() == scores[b].tobytes()
 
     def test_structural_mask_blocks_start_stop(self):
         rng = np.random.default_rng(9)

@@ -268,19 +268,29 @@ class TestDecoding:
             assert len(p) == len(s)
             assert set(p) <= names
 
+    def test_predict_restores_input_order(self):
+        model, corpus = _partner_model("syn-lstm-crf")
+        corpus = corpus + corpus[:3]
+        np.random.default_rng(0).shuffle(corpus)
+        assert len({len(s) for s in corpus}) > 3
+        single = model.predict(corpus, batch_size=1)
+        assert len({tuple(p) for p in single}) > 3
+        assert model.predict(corpus, batch_size=3) == single
+        assert [len(p) for p in single] == [len(s) for s in corpus]
+
     def test_forward_sentence_trace(self):
         model, sentences = make_model()
-        lattice, trace = model.forward_sentence(sentences[0], want_trace=True)
-        assert lattice.n == len(sentences[0])
+        s = sentences[0]
+        trace = model.forward_batch([s], want_traces=True).traces[0]
         assert set(trace.arrays) == {"f", "i", "m", "o"}
-        n = len(sentences[0])
+        n = len(s)
         assert trace.arrays["m"].shape == (n, 2, model.config.hidden)
         for arr in trace.arrays.values():
             assert np.all(arr > 0.0) and np.all(arr < 1.0)
 
     def test_plain_trace_has_no_graph_gate(self):
         model, sentences = make_model(variant="bilstm-crf")
-        _, trace = model.forward_sentence(sentences[0], want_trace=True)
+        trace = model.forward_batch([sentences[0]], want_traces=True).traces[0]
         assert "m" not in trace.arrays
         assert set(trace.arrays) == {"f", "i", "o"}
 

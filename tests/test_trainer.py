@@ -412,6 +412,31 @@ class TestCheckpoint:
             with pytest.raises(FormatError):
                 load_checkpoint(path)
 
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        class Unreadable:
+            def __array__(self, dtype=None, copy=None):
+                raise RuntimeError("interrupted")
+
+        result, _ = self.run_small()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(result.checkpoint, path)
+        before = path.read_bytes()
+        ckpt = result.checkpoint
+        params = dict(ckpt.params, unreadable=Unreadable())  # written last
+        broken = Checkpoint(ckpt.config, ckpt.vocab, params, 0.9, 7)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            save_checkpoint(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_save_replaces_previous_checkpoint(self, tmp_path):
+        result, _ = self.run_small()
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"old contents")
+        save_checkpoint(result.checkpoint, path)
+        assert load_checkpoint(path).best_epoch == result.checkpoint.best_epoch
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
     def test_shape_mismatch_rejected(self, tmp_path):
         result, _ = self.run_small()
         ckpt = result.checkpoint
