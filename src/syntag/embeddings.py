@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import Tensor, concat, constant, rows
 from .errors import ContractError
-from .recurrent import PlainLstmParams, bidirectional
+from .recurrent import LstmParams, bidirectional
 
 
 def _embedding_table(rng, count, dim):
@@ -65,8 +65,8 @@ class CharEncoder:
     def __init__(self, char_dim, char_hidden, rng):
         self.char_dim = char_dim
         self.hidden = char_hidden
-        self.fwd = PlainLstmParams(char_dim, char_hidden, rng)
-        self.bwd = PlainLstmParams(char_dim, char_hidden, rng)
+        self.fwd = LstmParams(char_dim, char_hidden, rng)
+        self.bwd = LstmParams(char_dim, char_hidden, rng)
 
     @property
     def output_dim(self):

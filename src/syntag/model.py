@@ -28,7 +28,7 @@ from .data import Vocabulary
 from .embeddings import CharEncoder, EmbeddingTables, scatter_token_rows
 from .errors import ContractError, FormatError
 from .gcn import GcnParams, batch_normalized_adjacency, encode_batch
-from .recurrent import (GraphGatedParams, PlainLstmParams, extract_traces,
+from .recurrent import (LstmParams, extract_traces,
                         run_graph_bidirectional_batch,
                         run_plain_bidirectional_batch)
 
@@ -202,18 +202,13 @@ class SequenceTagger:
             self.gcn = GcnParams(self.g0_dim, config.hidden, layers, rng)
 
         if config.variant == "syn-lstm-crf":
-            self.cell_fwd = GraphGatedParams(x_dim, config.hidden,
-                                             config.hidden, rng)
-            self.cell_bwd = GraphGatedParams(x_dim, config.hidden,
-                                             config.hidden, rng)
+            cell_in, graph_dim = x_dim, config.hidden
         elif config.variant == "bilstm-crf":
-            self.cell_fwd = PlainLstmParams(x_dim, config.hidden, rng)
-            self.cell_bwd = PlainLstmParams(x_dim, config.hidden, rng)
+            cell_in, graph_dim = x_dim, None
         else:
-            self.cell_fwd = PlainLstmParams(x_dim + config.hidden,
-                                            config.hidden, rng)
-            self.cell_bwd = PlainLstmParams(x_dim + config.hidden,
-                                            config.hidden, rng)
+            cell_in, graph_dim = x_dim + config.hidden, None
+        self.cell_fwd = LstmParams(cell_in, config.hidden, rng, graph_dim)
+        self.cell_bwd = LstmParams(cell_in, config.hidden, rng, graph_dim)
 
         self.crf = crf_mod.CrfParams(
             len(vocab.labels), 2 * config.hidden, rng,

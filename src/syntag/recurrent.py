@@ -23,9 +23,9 @@ when there is one, columns 2H-6H, and the previous hidden state all of them.
 Each timestep is three GEMMs into one (B, 6H) pre-activation (two into
 (B, 4H) for the plain cell), and sigmoid is ``0.5 * (1 + tanh(x / 2))``.
 Positions at or beyond a sentence's length carry the state forward, so
-padding never reaches a shorter sentence. The per-block weights stay the
-stored parameters: the kernel concatenates them into this layout on each
-call and splits the gradients back.
+padding never reaches a shorter sentence. The stored weights are in
+this layout already (``LstmParams``), so the kernel multiplies by them as
+they are and its backward returns each stacked gradient whole.
 
 Under a tape, each direction is one tape node with a hand-written BPTT
 backward: the reverse loop only carries the h and c gradients, and the
@@ -34,7 +34,8 @@ the kernel keeps no backward caches, only the gate activations when a trace
 is asked for.
 
 ``graph_step`` and ``plain_step`` are the same cells as chains of tape ops,
-one step at a time. The model never calls them: they are the reference the
+one step at a time, reading each gate's block of the stacked weights
+through ``block``. The model never calls them: they are the reference the
 kernel is tested against, and they are themselves tested against scalar
 transcriptions and against the closed-form expansion of the cell state
 (``expand_cell_state``), which never runs the recurrence for c. All states
@@ -67,64 +68,83 @@ def zero_state(batch, hidden):
                      constant(np.zeros((batch, hidden))))
 
 
-class GraphGatedParams:
-    """Weights for the graph-gated cell.
+class LstmParams:
+    """Weights of one LSTM direction, stacked in the kernel's column order.
 
-    Naming: first letter is the input stream (x token input, h previous
-    hidden, g graph vector), suffix is the target block (f/o/i gates,
-    m graph gate, c sequence candidate, s graph candidate). Matrices are
-    (input_dim, hidden) so batched rows multiply on the left.
+    The gate columns are ``[i, c, f, o | m, s]``, H each, or ``[i, c, f, o]``
+    with no graph stream (c and s are the token and graph candidates).
+    ``W_x`` (Dx, 4H) feeds i, c, f, o; ``W_g`` (Dg, 4H), present only with a
+    graph stream, feeds f, o, m, s; ``W_h`` (H, width) and ``b`` (width,)
+    feed every gate. Matrices are (input_dim, columns) so batched rows
+    multiply on the left.
     """
 
-    BLOCKS = [
-        ("x_f", "x"), ("h_f", "h"), ("g_f", "g"), ("b_f", None),
-        ("x_o", "x"), ("h_o", "h"), ("g_o", "g"), ("b_o", None),
-        ("x_i", "x"), ("h_i", "h"), ("b_i", None),
-        ("x_c", "x"), ("h_c", "h"), ("b_c", None),
-        ("g_m", "g"), ("h_m", "h"), ("b_m", None),
-        ("g_s", "g"), ("h_s", "h"), ("b_s", None),
-    ]
-    GATES = "icfoms"  # kernel column order; the graph stream feeds "foms"
+    # Glorot draws, one (stream, gate) block at a time: this order fixes the
+    # weights each seed gives. Biases start at zero and draw nothing.
+    DRAWS = {True: "xf hf gf xo ho go xi hi xc hc gm hm gs hs",
+             False: "xf hf xi hi xo ho xc hc"}
 
-    def __init__(self, input_dim, graph_dim, hidden, rng):
+    def __init__(self, input_dim, hidden, rng, graph_dim=None):
         self.input_dim = input_dim
+        self.hidden = hidden
         self.graph_dim = graph_dim
-        self.hidden = hidden
-        dims = {"x": input_dim, "h": hidden, "g": graph_dim}
-        for name, kind in self.BLOCKS:
-            if kind is None:
-                setattr(self, name, zeros(hidden))
-            else:
-                setattr(self, name, glorot(rng, dims[kind], hidden))
+        graph = graph_dim is not None
+        self.gates = "icfoms" if graph else "icfo"
+        width = len(self.gates) * hidden
+        # Every weight column gets a draw below, so the matrices start empty:
+        # zero-filling recycled memory first would only add set-up time.
+        self.W_x = Tensor(np.empty((input_dim, 4 * hidden)), requires_grad=True)
+        if graph:
+            self.W_g = Tensor(np.empty((graph_dim, 4 * hidden)), requires_grad=True)
+        self.W_h = Tensor(np.empty((hidden, width)), requires_grad=True)
+        self.b = zeros(width)
+        dims = {"x": input_dim, "g": graph_dim, "h": hidden}
+        for stream, gate in self.DRAWS[graph].split():
+            self.stacked(stream).data[:, self.columns(stream, gate)] = glorot(
+                rng, dims[stream], hidden).data
+
+    def feeds(self, stream):
+        """The gates that ``stream`` (x, g, h or b) feeds, in column order."""
+        return {"x": "icfo", "g": "foms"}.get(stream, self.gates)
+
+    def columns(self, stream, gate):
+        """The column slice of ``gate`` in the stacked tensor of ``stream``."""
+        k = self.feeds(stream).index(gate)
+        return slice(k * self.hidden, (k + 1) * self.hidden)
+
+    def stacked(self, stream):
+        return self.b if stream == "b" else getattr(self, f"W_{stream}")
 
     def parameters(self):
-        return {name: getattr(self, name) for name, _ in self.BLOCKS}
+        names = "W_x W_h b" if self.graph_dim is None else "W_x W_g W_h b"
+        return {name: getattr(self, name) for name in names.split()}
 
 
-class PlainLstmParams:
-    """Weights for a standard LSTM (gates f, i, o and one candidate)."""
+def block(p, stream, gate):
+    """One gate's block of a stacked tensor as a differentiable (rows, H) view.
 
-    BLOCKS = [
-        ("x_f", "x"), ("h_f", "h"), ("b_f", None),
-        ("x_i", "x"), ("h_i", "h"), ("b_i", None),
-        ("x_o", "x"), ("h_o", "h"), ("b_o", None),
-        ("x_c", "x"), ("h_c", "h"), ("b_c", None),
-    ]
-    GATES = "icfo"
-    graph_dim = None
+    Built from ``take`` and ``reshape``, so the reference cells below read
+    the same storage as the kernel without sharing any of its code.
+    """
+    t = p.stacked(stream)
+    cols = np.arange(t.data.shape[-1])[p.columns(stream, gate)]
+    if t.data.ndim == 1:
+        return ad.take(t, cols)
+    flat = np.arange(t.data.shape[0])[:, None] * t.data.shape[1] + cols
+    return ad.reshape(ad.take(t, flat.ravel()), (t.data.shape[0], p.hidden))
 
-    def __init__(self, input_dim, hidden, rng):
-        self.input_dim = input_dim
-        self.hidden = hidden
-        dims = {"x": input_dim, "h": hidden}
-        for name, kind in self.BLOCKS:
-            if kind is None:
-                setattr(self, name, zeros(hidden))
-            else:
-                setattr(self, name, glorot(rng, dims[kind], hidden))
 
-    def parameters(self):
-        return {name: getattr(self, name) for name, _ in self.BLOCKS}
+def _preactivations(p, streams):
+    """Every gate's pre-activation, given each input stream's (B, D) rows."""
+    return {gate: sum((matmul(v, block(p, stream, gate))
+                       for stream, v in streams.items() if gate in p.feeds(stream)),
+                      block(p, "b", gate))
+            for gate in p.gates}
+
+
+def _record(trace, **gates):
+    if trace is not None:
+        trace.update({name: gate.data.copy() for name, gate in gates.items()})
 
 
 def graph_step(x, g, state, p, trace=None):
@@ -135,36 +155,21 @@ def graph_step(x, g, state, p, trace=None):
     """
     _check_step_dims(x, p.input_dim, "token input")
     _check_step_dims(g, p.graph_dim, "graph input")
-    f = sigmoid(matmul(x, p.x_f) + matmul(state.h, p.h_f) + matmul(g, p.g_f) + p.b_f)
-    o = sigmoid(matmul(x, p.x_o) + matmul(state.h, p.h_o) + matmul(g, p.g_o) + p.b_o)
-    i = sigmoid(matmul(x, p.x_i) + matmul(state.h, p.h_i) + p.b_i)
-    m = sigmoid(matmul(g, p.g_m) + matmul(state.h, p.h_m) + p.b_m)
-    cand_c = tanh(matmul(x, p.x_c) + matmul(state.h, p.h_c) + p.b_c)
-    cand_s = tanh(matmul(g, p.g_s) + matmul(state.h, p.h_s) + p.b_s)
-    c = f * state.c + i * cand_c + m * cand_s
-    h = o * tanh(c)
-    if trace is not None:
-        trace["f"] = f.data.copy()
-        trace["i"] = i.data.copy()
-        trace["m"] = m.data.copy()
-        trace["o"] = o.data.copy()
-    return LstmState(h, c)
+    pre = _preactivations(p, {"x": x, "h": state.h, "g": g})
+    f, i, m, o = (sigmoid(pre[gate]) for gate in "fimo")
+    c = f * state.c + i * tanh(pre["c"]) + m * tanh(pre["s"])
+    _record(trace, f=f, i=i, m=m, o=o)
+    return LstmState(o * tanh(c), c)
 
 
 def plain_step(x, state, p, trace=None):
     """One standard LSTM step over a batch of rows."""
     _check_step_dims(x, p.input_dim, "token input")
-    f = sigmoid(matmul(x, p.x_f) + matmul(state.h, p.h_f) + p.b_f)
-    i = sigmoid(matmul(x, p.x_i) + matmul(state.h, p.h_i) + p.b_i)
-    o = sigmoid(matmul(x, p.x_o) + matmul(state.h, p.h_o) + p.b_o)
-    cand = tanh(matmul(x, p.x_c) + matmul(state.h, p.h_c) + p.b_c)
-    c = f * state.c + i * cand
-    h = o * tanh(c)
-    if trace is not None:
-        trace["f"] = f.data.copy()
-        trace["i"] = i.data.copy()
-        trace["o"] = o.data.copy()
-    return LstmState(h, c)
+    pre = _preactivations(p, {"x": x, "h": state.h})
+    f, i, o = (sigmoid(pre[gate]) for gate in "fio")
+    c = f * state.c + i * tanh(pre["c"])
+    _record(trace, f=f, i=i, o=o)
+    return LstmState(o * tanh(c), c)
 
 
 def _check_step_dims(x, expect, what):
@@ -172,12 +177,6 @@ def _check_step_dims(x, expect, what):
         raise DimensionError(
             f"{what} has shape {x.data.shape}, expected (batch, {expect})"
         )
-
-
-def _stack(p, stream, gates):
-    """Concatenate the ``stream`` blocks of ``gates`` along the last axis."""
-    return np.concatenate([getattr(p, f"{stream}_{g}").data for g in gates],
-                          axis=-1)
 
 
 def _direction(x, g, p, valid, reverse, out, final, keep, trace):
@@ -192,13 +191,11 @@ def _direction(x, g, p, valid, reverse, out, final, keep, trace):
     """
     batch, n = valid.shape
     hidden = p.hidden
-    gates = p.GATES
+    gates = p.gates
     width = len(gates) * hidden
     tok, grf = 4 * hidden, 2 * hidden  # token columns [0, 4H), graph [2H, 6H)
-    w_x = _stack(p, "x", gates[:4])
-    w_h = _stack(p, "h", gates)
-    bias = _stack(p, "b", gates)
-    w_g = None if g is None else _stack(p, "g", gates[2:])
+    w_x, w_h, bias = p.W_x.data, p.W_h.data, p.b.data
+    w_g = None if g is None else p.W_g.data
     # sigmoid(z) = 0.5 + 0.5 * tanh(0.5 * z); tanh columns use scale 1, shift 0
     scale = np.repeat([0.5 if gate in _SIGMOID_GATES else 1.0 for gate in gates],
                       hidden)
@@ -293,19 +290,13 @@ def _direction(x, g, p, valid, reverse, out, final, keep, trace):
                 dh_prev += np.where(valid[:, t, None], 0.0, dh)
             dh = dh_prev
         d2 = dpre.reshape(batch * n, width)
-        full_grads = {"x": (x.T @ d2[:, :tok], 0),
-                      "h": (h_prev.reshape(batch * n, hidden).T @ d2, 0),
-                      "b": (d2.sum(axis=0), 0)}
-        input_grads = (d2[:, :tok] @ w_x.T,)
-        if g is not None:
-            full_grads["g"] = (g.T @ d2[:, grf:], grf)
-            input_grads += (d2[:, grf:] @ w_g.T,)
-        blocks = []
-        for name, _ in p.BLOCKS:
-            full, offset = full_grads[name[0]]
-            lo = gates.index(name[2]) * hidden - offset
-            blocks.append(full[..., lo: lo + hidden])
-        return input_grads + tuple(blocks)
+        d_tok = d2[:, :tok]
+        dx, dw_x = d_tok @ w_x.T, x.T @ d_tok
+        dw_h, db = h_prev.reshape(batch * n, hidden).T @ d2, d2.sum(axis=0)
+        if g is None:
+            return dx, dw_x, dw_h, db
+        d_grf = d2[:, grf:]
+        return dx, d_grf @ w_g.T, dw_x, g.T @ d_grf, dw_h, db
 
     return backward
 
@@ -358,14 +349,6 @@ def run_plain_bidirectional_batch(x_flat, lengths, fwd, bwd, trace_sink=None):
     return bidirectional(x_flat, None, lengths, fwd, bwd, trace_sink=trace_sink)
 
 
-def run_bidirectional(x, g, fwd, bwd, trace_sink=None):
-    """Single-sentence bidirectional graph-gated pass: (n, Dx) -> (n, 2H)."""
-    n = x.data.shape[0]
-    if n < 1:
-        raise ContractError("run_bidirectional needs at least one position")
-    return run_graph_bidirectional_batch(x, g, [n], fwd, bwd, trace_sink)
-
-
 class GateTrace:
     """Recorded gate activations for one sentence.
 
@@ -375,10 +358,6 @@ class GateTrace:
     def __init__(self, arrays):
         self.arrays = arrays
 
-    @property
-    def length(self):
-        return next(iter(self.arrays.values())).shape[0]
-
     def values(self, gate):
         if gate not in self.arrays:
             raise ContractError(f"gate {gate!r} not traced; have {sorted(self.arrays)}")
@@ -386,14 +365,6 @@ class GateTrace:
 
     def mean(self, gate):
         return float(self.values(gate).mean())
-
-    def rows(self):
-        """Export rows (position, gate, mean_value) for CSV output."""
-        out = []
-        for t in range(self.length):
-            for gate in sorted(self.arrays):
-                out.append((t, gate, float(self.arrays[gate][t].mean())))
-        return out
 
 
 def extract_traces(trace_sink, lengths, gate_names=GATE_NAMES):
@@ -429,16 +400,11 @@ def expand_cell_state(x_seq, g_seq, params, t, return_weights=False):
     c_cands, s_cands = [], []
     c_j = None
     for j in range(t + 1):
-        x_j = rows(x_seq, np.array([j]))
-        g_j = rows(g_seq, np.array([j]))
-        f = sigmoid(matmul(x_j, params.x_f) + matmul(h, params.h_f)
-                    + matmul(g_j, params.g_f) + params.b_f)
-        o = sigmoid(matmul(x_j, params.x_o) + matmul(h, params.h_o)
-                    + matmul(g_j, params.g_o) + params.b_o)
-        i = sigmoid(matmul(x_j, params.x_i) + matmul(h, params.h_i) + params.b_i)
-        m = sigmoid(matmul(g_j, params.g_m) + matmul(h, params.h_m) + params.b_m)
-        c_cands.append(tanh(matmul(x_j, params.x_c) + matmul(h, params.h_c) + params.b_c))
-        s_cands.append(tanh(matmul(g_j, params.g_s) + matmul(h, params.h_s) + params.b_s))
+        pre = _preactivations(params, {"x": rows(x_seq, np.array([j])), "h": h,
+                                       "g": rows(g_seq, np.array([j]))})
+        f, i, m, o = (sigmoid(pre[gate]) for gate in "fimo")
+        c_cands.append(tanh(pre["c"]))
+        s_cands.append(tanh(pre["s"]))
         a_weights = [w * f for w in a_weights] + [i]
         q_weights = [w * f for w in q_weights] + [m]
         c_j = a_weights[0] * c_cands[0]

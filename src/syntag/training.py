@@ -5,9 +5,11 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import heapq
+import io
 import json
 import os
 import struct
+import zlib
 from collections import deque
 from dataclasses import dataclass
 
@@ -20,7 +22,7 @@ from .errors import ContractError, FormatError, NumericalError
 from .model import ModelConfig, SequenceTagger
 
 CHECKPOINT_MAGIC = b"SYNL"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def epoch_lr(epoch, lr, decay):
@@ -216,9 +218,10 @@ def snapshot_params(model):
 def save_checkpoint(ckpt, path):
     """Write a checkpoint in the binary container format.
 
-    Layout (little-endian): 4-byte magic, u16 version, u64 metadata length,
-    UTF-8 JSON metadata, then one record per tensor: u16 name length, name,
-    u16 rank, rank u64 dims, and the row-major float64 payload.
+    Layout (little-endian): 4-byte magic, u16 version, u32 CRC32 of
+    everything after it, u64 metadata length, UTF-8 JSON metadata, then one
+    record per tensor: u16 name length, name, u16 rank, rank u64 dims, and
+    the row-major float64 payload.
 
     The file is written beside ``path`` under a temporary name and renamed
     over it only once complete, so a save that fails or is interrupted
@@ -235,17 +238,26 @@ def save_checkpoint(ckpt, path):
     try:
         with open(tmp, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<H", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
+            fh.write(struct.pack("<HI", CHECKPOINT_VERSION, 0))  # CRC32 below
+            crc = 0
+
+            def write(data):
+                nonlocal crc
+                crc = zlib.crc32(data, crc)
+                fh.write(data)
+
+            write(struct.pack("<Q", len(blob)))
+            write(blob)
             for name, arr in ckpt.params.items():
                 nb = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(nb)))
-                fh.write(nb)
+                write(struct.pack("<H", len(nb)))
+                write(nb)
                 a = np.ascontiguousarray(arr, dtype=np.float64)
-                fh.write(struct.pack("<H", a.ndim))
-                fh.write(struct.pack(f"<{a.ndim}Q", *a.shape))
-                fh.write(a.astype("<f8", copy=False).tobytes())
+                write(struct.pack("<H", a.ndim))
+                write(struct.pack(f"<{a.ndim}Q", *a.shape))
+                write(a.astype("<f8", copy=False).tobytes())
+            fh.seek(len(CHECKPOINT_MAGIC) + 2)
+            fh.write(struct.pack("<I", crc))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -264,12 +276,18 @@ def _read_exact(fh, count, what):
 
 def load_checkpoint(path):
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
+        raw = fh.read()
+    with io.BytesIO(raw) as fh:
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise FormatError("not a checkpoint file (bad magic)")
         (version,) = struct.unpack("<H", _read_exact(fh, 2, "version"))
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
+        (stored,) = struct.unpack("<I", _read_exact(fh, 4, "checksum"))
+        crc = zlib.crc32(memoryview(raw)[fh.tell():])
+        if crc != stored:
+            raise FormatError(f"checkpoint checksum mismatch (stored {stored:08x}, "
+                              f"computed {crc:08x}): the file is damaged or truncated")
         (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8, "metadata size"))
         try:
             meta = json.loads(_read_exact(fh, meta_len, "metadata"))
@@ -294,10 +312,10 @@ def load_checkpoint(path):
             (rank,) = struct.unpack("<H", _read_exact(fh, 2, f"rank of {name}"))
             shape = struct.unpack(
                 f"<{rank}Q", _read_exact(fh, 8 * rank, f"shape of {name}"))
-            count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-            payload = _read_exact(fh, 8 * count, f"data of {name}")
-            params[name] = np.frombuffer(payload, dtype="<f8").reshape(
-                shape).astype(np.float64)
+            data = np.empty(shape, dtype="<f8")
+            if fh.readinto(data) != data.nbytes:
+                raise FormatError(f"checkpoint truncated while reading data of {name}")
+            params[name] = data.astype(np.float64, copy=False)
     return Checkpoint(config, vocab, params, best_f1, best_epoch)
 
 

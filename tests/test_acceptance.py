@@ -81,7 +81,7 @@ def test_cell_state_expansion_identity():
         hid = int(rng.integers(1, 9))
         dx = int(rng.integers(1, 6))
         dg = int(rng.integers(1, 6))
-        params = rc.GraphGatedParams(dx, dg, hid, rng)
+        params = rc.LstmParams(dx, hid, rng, graph_dim=dg)
         x = ad.constant(rng.uniform(-2, 2, (n, dx)))
         g = ad.constant(rng.uniform(-2, 2, (n, dg)))
         state = rc.zero_state(1, hid)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syntag import data
 from syntag.errors import (
@@ -17,6 +19,39 @@ GOOD_BLOCK = (
     "2\tvisited\tVBD\t0\troot\tO\n"
     "3\tRome\tNNP\t2\tobj\tS-LOC\n"
 )
+
+
+# Any field text the TSV format can hold: no tab, and no line break.
+FIELD = st.text(st.characters(exclude_characters="\t\n\r"), max_size=6)
+ENTITY_TYPES = st.text(alphabet="PERLOC-", min_size=1, max_size=3)
+
+
+@st.composite
+def spans_and_length(draw, max_len=8):
+    """A sentence length and sorted, non-overlapping entity spans in it."""
+    n = draw(st.integers(1, max_len))
+    spans, start = [], 0
+    while start < n:
+        width = draw(st.integers(1, n - start))
+        if draw(st.booleans()):
+            spans.append((start, start + width - 1, draw(ENTITY_TYPES)))
+        start += width
+    return spans, n
+
+
+@st.composite
+def sentences(draw):
+    """A sentence with any dependency tree and valid BIOES labels."""
+    spans, n = draw(spans_and_length())
+    order = draw(st.permutations(range(n)))
+    heads = [0] * n
+    for k in range(1, n):  # each node hangs from one placed before it
+        heads[order[k]] = order[draw(st.integers(0, k - 1))] + 1
+    return data.Sentence(
+        draw(st.lists(FIELD.filter(bool), min_size=n, max_size=n)),
+        draw(st.lists(FIELD, min_size=n, max_size=n)), heads,
+        draw(st.lists(FIELD, min_size=n, max_size=n)),
+        data.encode_label_spans(spans, n, "bioes"))
 
 
 def _write(tmp_path, text, name="corpus.tsv"):
@@ -118,6 +153,12 @@ class TestParsing:
         corpus2 = data._parse_lines(text2.split("\n"), "bioes")
         assert corpus == corpus2
 
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=st.lists(sentences(), max_size=4))
+    def test_serialize_parse_round_trip_property(self, corpus):
+        text = data.serialize_corpus(corpus)
+        assert data._parse_lines(text.split("\n"), "bioes") == corpus
+
     def test_validation_agrees_with_union_find_oracle(self):
         rng = np.random.default_rng(7)
         agree = 0
@@ -162,6 +203,16 @@ class TestLabelSchemes:
             data.validate_labels(once, "bioes")
             back = data.convert_label_scheme(once, "bioes", "bio")
             assert back == labels
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=spans_and_length(max_len=12))
+    def test_bio_bioes_round_trip_keeps_spans_property(self, case):
+        spans, n = case
+        bio = data.encode_label_spans(spans, n, "bio")
+        bioes = data.convert_label_scheme(bio, "bio", "bioes")
+        assert data.decode_label_spans(bio, "bio") == spans
+        assert data.decode_label_spans(bioes, "bioes") == spans
+        assert data.convert_label_scheme(bioes, "bioes", "bio") == bio
 
     def test_decode_drop_mode_skips_malformed(self):
         labels = ["E-PER", "B-LOC", "O", "B-ORG", "I-ORG", "E-ORG", "S-PER"]

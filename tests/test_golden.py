@@ -50,8 +50,19 @@ def variant_numbers(variant):
                                 rng=np.random.default_rng(4))
         backward(loss)
     out["loss"] = loss.data
+    cells = {"char_fwd": model.char_encoder.fwd, "char_bwd": model.char_encoder.bwd,
+             "cell_fwd": model.cell_fwd, "cell_bwd": model.cell_bwd}
     for name, p in model.parameters().items():
-        out[f"grad/{name}"] = p.grad
+        owner, _, tensor = name.partition(".")
+        if owner not in cells:
+            out[f"grad/{name}"] = p.grad
+            continue
+        # One key per (stream, gate) block, e.g. cell_fwd.x_f: the fixture
+        # predates stacked storage, and per-block keys show where a drift is.
+        cell, stream = cells[owner], tensor[-1]  # W_x -> x, ..., b -> b
+        for gate in cell.feeds(stream):
+            cols = cell.columns(stream, gate)
+            out[f"grad/{owner}.{stream}_{gate}"] = p.grad[..., cols]
     fw = model.forward_batch(batch, want_traces=True)
     out["emissions"] = np.concatenate(
         [fw.emissions.data[b * fw.n_max: b * fw.n_max + n]

@@ -114,12 +114,13 @@ class TestForward:
         model, _ = make_model()
         names = set(model.parameters())
         assert "gcn.0.w" in names and "gcn.1.w" in names
-        assert "cell_fwd.g_m" in names
+        assert "cell_fwd.W_g" in names
         plain, _ = make_model(variant="bilstm-crf")
         plain_names = set(plain.parameters())
         assert not any(n.startswith("gcn.") for n in plain_names)
         assert "deprel_table" not in plain_names
-        assert "cell_fwd.x_f" in plain_names
+        assert "cell_fwd.W_x" in plain_names
+        assert "cell_fwd.W_g" not in plain_names
 
     def test_drop_wiring(self):
         no_rel, _ = make_model(drop="deprel-embedding")

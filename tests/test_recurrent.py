@@ -13,12 +13,18 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _zero_params(cls, *dims):
-    rng = np.random.default_rng(0)
-    p = cls(*dims, rng=rng)
+def _zero_params(input_dim, hidden, graph_dim=None):
+    p = rc.LstmParams(input_dim, hidden, np.random.default_rng(0), graph_dim)
     for t in p.parameters().values():
         t.data[...] = 0.0
     return p
+
+
+def _blocks(p):
+    """Each (stream, gate) block as a plain array, keyed like "x_f"."""
+    return {f"{stream}_{gate}": p.stacked(stream).data[..., p.columns(stream, gate)]
+            for stream in ("x", "h", "b") + (() if p.graph_dim is None else ("g",))
+            for gate in p.feeds(stream)}
 
 
 def scalar_graph_step(x, g, h, c, p):
@@ -35,7 +41,7 @@ def scalar_graph_step(x, g, h, c, p):
             out[k] = acc
         return out
 
-    d = {n: t.data for n, t in p.parameters().items()}
+    d = _blocks(p)
     f = _sigmoid(lin([(x, d["x_f"]), (h, d["h_f"]), (g, d["g_f"])], d["b_f"]))
     o = _sigmoid(lin([(x, d["x_o"]), (h, d["h_o"]), (g, d["g_o"])], d["b_o"]))
     i = _sigmoid(lin([(x, d["x_i"]), (h, d["h_i"])], d["b_i"]))
@@ -60,7 +66,7 @@ def scalar_plain_step(x, h, c, p):
             out[k] = acc
         return out
 
-    d = {n: t.data for n, t in p.parameters().items()}
+    d = _blocks(p)
     f = _sigmoid(lin([(x, d["x_f"]), (h, d["h_f"])], d["b_f"]))
     i = _sigmoid(lin([(x, d["x_i"]), (h, d["h_i"])], d["b_i"]))
     o = _sigmoid(lin([(x, d["x_o"]), (h, d["h_o"])], d["b_o"]))
@@ -72,7 +78,7 @@ def scalar_plain_step(x, h, c, p):
 
 class TestGraphStep:
     def test_zero_params_zero_state(self):
-        p = _zero_params(rc.GraphGatedParams, 3, 2, 4)
+        p = _zero_params(3, 4, graph_dim=2)
         state = rc.zero_state(1, 4)
         trace = {}
         out = rc.graph_step(ad.constant(np.ones((1, 3))),
@@ -83,7 +89,7 @@ class TestGraphStep:
             np.testing.assert_array_equal(trace[gate], 0.5)
 
     def test_zero_params_carries_half_of_previous_cell(self):
-        p = _zero_params(rc.GraphGatedParams, 3, 2, 4)
+        p = _zero_params(3, 4, graph_dim=2)
         v = np.array([[0.4, -1.0, 2.0, 0.0]])
         state = rc.LstmState(ad.constant(np.zeros((1, 4))), ad.constant(v))
         out = rc.graph_step(ad.constant(np.zeros((1, 3))),
@@ -94,7 +100,7 @@ class TestGraphStep:
     def test_matches_scalar_reimplementation(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
-            p = rc.GraphGatedParams(3, 2, 4, rng)
+            p = rc.LstmParams(3, 4, rng, graph_dim=2)
             x = rng.uniform(-2, 2, (1, 3))
             g = rng.uniform(-2, 2, (1, 2))
             h0 = rng.uniform(-1, 1, (1, 4))
@@ -106,14 +112,14 @@ class TestGraphStep:
             np.testing.assert_allclose(out.c.data[0], c_ref, atol=1e-12)
 
     def test_dimension_error_names_shape(self):
-        p = _zero_params(rc.GraphGatedParams, 3, 2, 4)
+        p = _zero_params(3, 4, graph_dim=2)
         with pytest.raises(DimensionError):
             rc.graph_step(ad.constant(np.ones((1, 5))),
                           ad.constant(np.ones((1, 2))), rc.zero_state(1, 4), p)
 
     def test_gates_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(4)
-        p = rc.GraphGatedParams(3, 2, 6, rng)
+        p = rc.LstmParams(3, 6, rng, graph_dim=2)
         state = rc.zero_state(2, 6)
         trace = {}
         rc.graph_step(ad.constant(rng.uniform(-2, 2, (2, 3))),
@@ -123,25 +129,25 @@ class TestGraphStep:
 
     def test_graph_path_zeroed_reduces_to_augmented_plain_form(self):
         rng = np.random.default_rng(5)
-        p = rc.GraphGatedParams(3, 2, 4, rng)
-        for name in ("g_f", "g_o", "g_m", "g_s"):
-            getattr(p, name).data[...] = 0.0
+        p = rc.LstmParams(3, 4, rng, graph_dim=2)
+        p.W_g.data[...] = 0.0
         x = rng.uniform(-1, 1, (1, 3))
         h0 = rng.uniform(-1, 1, (1, 4))
         c0 = rng.uniform(-1, 1, (1, 4))
         state = rc.LstmState(ad.constant(h0), ad.constant(c0))
         out = rc.graph_step(ad.constant(x), ad.constant(np.zeros((1, 2))), state, p)
-        f = _sigmoid(x @ p.x_f.data + h0 @ p.h_f.data + p.b_f.data)
-        i = _sigmoid(x @ p.x_i.data + h0 @ p.h_i.data + p.b_i.data)
-        cand = np.tanh(x @ p.x_c.data + h0 @ p.h_c.data + p.b_c.data)
-        m = _sigmoid(h0 @ p.h_m.data + p.b_m.data)
-        s = np.tanh(h0 @ p.h_s.data + p.b_s.data)
+        d = _blocks(p)
+        f = _sigmoid(x @ d["x_f"] + h0 @ d["h_f"] + d["b_f"])
+        i = _sigmoid(x @ d["x_i"] + h0 @ d["h_i"] + d["b_i"])
+        cand = np.tanh(x @ d["x_c"] + h0 @ d["h_c"] + d["b_c"])
+        m = _sigmoid(h0 @ d["h_m"] + d["b_m"])
+        s = np.tanh(h0 @ d["h_s"] + d["b_s"])
         np.testing.assert_allclose(out.c.data, f * c0 + i * cand + m * s, atol=1e-14)
 
 
 class TestPlainStep:
     def test_zero_params(self):
-        p = _zero_params(rc.PlainLstmParams, 3, 4)
+        p = _zero_params(3, 4)
         v = np.array([[1.0, 2.0, -1.0, 0.5]])
         state = rc.LstmState(ad.constant(np.zeros((1, 4))), ad.constant(v))
         out = rc.plain_step(ad.constant(np.zeros((1, 3))), state, p)
@@ -149,7 +155,7 @@ class TestPlainStep:
 
     def test_matches_scalar_reimplementation(self):
         rng = np.random.default_rng(6)
-        p = rc.PlainLstmParams(3, 4, rng)
+        p = rc.LstmParams(3, 4, rng)
         x = rng.uniform(-2, 2, (1, 3))
         h0 = rng.uniform(-1, 1, (1, 4))
         c0 = rng.uniform(-2, 2, (1, 4))
@@ -163,11 +169,11 @@ class TestPlainStep:
 class TestBidirectional:
     def test_single_position(self):
         rng = np.random.default_rng(7)
-        fwd = rc.GraphGatedParams(3, 2, 4, rng)
-        bwd = rc.GraphGatedParams(3, 2, 4, rng)
+        fwd = rc.LstmParams(3, 4, rng, graph_dim=2)
+        bwd = rc.LstmParams(3, 4, rng, graph_dim=2)
         x = ad.constant(rng.uniform(-1, 1, (1, 3)))
         g = ad.constant(rng.uniform(-1, 1, (1, 2)))
-        out = rc.run_bidirectional(x, g, fwd, bwd)
+        out = rc.bidirectional(x, g, [1], fwd, bwd)
         assert out.data.shape == (1, 8)
         sf = rc.graph_step(x, g, rc.zero_state(1, 4), fwd)
         sb = rc.graph_step(x, g, rc.zero_state(1, 4), bwd)
@@ -175,29 +181,29 @@ class TestBidirectional:
         np.testing.assert_allclose(out.data[0, 4:], sb.h.data[0], atol=1e-14)
 
     def test_zero_params_zero_output(self):
-        fwd = _zero_params(rc.GraphGatedParams, 3, 2, 4)
-        bwd = _zero_params(rc.GraphGatedParams, 3, 2, 4)
+        fwd = _zero_params(3, 4, graph_dim=2)
+        bwd = _zero_params(3, 4, graph_dim=2)
         x = ad.constant(np.random.default_rng(0).uniform(-1, 1, (5, 3)))
         g = ad.constant(np.random.default_rng(1).uniform(-1, 1, (5, 2)))
-        out = rc.run_bidirectional(x, g, fwd, bwd)
+        out = rc.bidirectional(x, g, [5], fwd, bwd)
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_reversal_swaps_directions(self):
         rng = np.random.default_rng(8)
-        fwd = rc.GraphGatedParams(3, 2, 4, rng)
-        bwd = rc.GraphGatedParams(3, 2, 4, rng)
+        fwd = rc.LstmParams(3, 4, rng, graph_dim=2)
+        bwd = rc.LstmParams(3, 4, rng, graph_dim=2)
         x = rng.uniform(-1, 1, (6, 3))
         g = rng.uniform(-1, 1, (6, 2))
-        out = rc.run_bidirectional(ad.constant(x), ad.constant(g), fwd, bwd).data
-        rev = rc.run_bidirectional(ad.constant(x[::-1].copy()),
-                                   ad.constant(g[::-1].copy()), bwd, fwd).data
+        out = rc.bidirectional(ad.constant(x), ad.constant(g), [6], fwd, bwd).data
+        rev = rc.bidirectional(ad.constant(x[::-1].copy()),
+                               ad.constant(g[::-1].copy()), [6], bwd, fwd).data
         np.testing.assert_allclose(rev[::-1, 4:], out[:, :4], atol=1e-12)
         np.testing.assert_allclose(rev[::-1, :4], out[:, 4:], atol=1e-12)
 
     def test_batched_run_matches_single_runs(self):
         rng = np.random.default_rng(9)
-        fwd = rc.GraphGatedParams(3, 2, 4, rng)
-        bwd = rc.GraphGatedParams(3, 2, 4, rng)
+        fwd = rc.LstmParams(3, 4, rng, graph_dim=2)
+        bwd = rc.LstmParams(3, 4, rng, graph_dim=2)
         lengths = [3, 5, 1]
         n_max = max(lengths)
         xs = [rng.uniform(-1, 1, (n, 3)) for n in lengths]
@@ -210,24 +216,23 @@ class TestBidirectional:
         batched = rc.run_graph_bidirectional_batch(
             ad.constant(x_flat), ad.constant(g_flat), lengths, fwd, bwd).data
         for b, n in enumerate(lengths):
-            single = rc.run_bidirectional(ad.constant(xs[b]), ad.constant(gs[b]),
-                                          fwd, bwd).data
+            single = rc.bidirectional(ad.constant(xs[b]), ad.constant(gs[b]),
+                                      [n], fwd, bwd).data
             np.testing.assert_allclose(
                 batched[b * n_max: b * n_max + n], single, atol=1e-12)
 
     def test_trace_extraction_shapes(self):
         rng = np.random.default_rng(10)
-        fwd = rc.GraphGatedParams(3, 2, 4, rng)
-        bwd = rc.GraphGatedParams(3, 2, 4, rng)
+        fwd = rc.LstmParams(3, 4, rng, graph_dim=2)
+        bwd = rc.LstmParams(3, 4, rng, graph_dim=2)
         sink = {}
         x = ad.constant(rng.uniform(-1, 1, (4, 3)))
         g = ad.constant(rng.uniform(-1, 1, (4, 2)))
-        rc.run_bidirectional(x, g, fwd, bwd, trace_sink=sink)
+        rc.bidirectional(x, g, [4], fwd, bwd, trace_sink=sink)
         traces = rc.extract_traces(sink, [4])
         assert len(traces) == 1
         tr = traces[0]
         assert tr.values("m").shape == (4, 2, 4)
-        assert len(tr.rows()) == 4 * 4  # positions x gates
         assert 0.0 < tr.mean("m") < 1.0
 
 
@@ -244,7 +249,7 @@ class TestExpansionIdentity:
 
     def test_first_position_is_plain_candidate_mix(self):
         rng = np.random.default_rng(11)
-        p = rc.GraphGatedParams(3, 2, 4, rng)
+        p = rc.LstmParams(3, 4, rng, graph_dim=2)
         x = ad.constant(rng.uniform(-1, 1, (3, 3)))
         g = ad.constant(rng.uniform(-1, 1, (3, 2)))
         c0 = rc.expand_cell_state(x, g, p, 0).data
@@ -252,7 +257,7 @@ class TestExpansionIdentity:
         np.testing.assert_allclose(c0, ref, atol=1e-12)
 
     def test_zero_params_expansion_is_zero(self):
-        p = _zero_params(rc.GraphGatedParams, 3, 2, 4)
+        p = _zero_params(3, 4, graph_dim=2)
         rng = np.random.default_rng(12)
         x = ad.constant(rng.uniform(-1, 1, (4, 3)))
         g = ad.constant(rng.uniform(-1, 1, (4, 2)))
@@ -266,7 +271,7 @@ class TestExpansionIdentity:
             hid = int(rng.integers(2, 9))
             dx = int(rng.integers(1, 5))
             dg = int(rng.integers(1, 5))
-            p = rc.GraphGatedParams(dx, dg, hid, rng)
+            p = rc.LstmParams(dx, hid, rng, graph_dim=dg)
             x = ad.constant(rng.uniform(-2, 2, (n, dx)))
             g = ad.constant(rng.uniform(-2, 2, (n, dg)))
             ref = self._recurrent_states(x, g, p)
@@ -276,7 +281,7 @@ class TestExpansionIdentity:
 
     def test_expansion_weights_bounded(self):
         rng = np.random.default_rng(14)
-        p = rc.GraphGatedParams(3, 2, 4, rng)
+        p = rc.LstmParams(3, 4, rng, graph_dim=2)
         x = ad.constant(rng.uniform(-2, 2, (6, 3)))
         g = ad.constant(rng.uniform(-2, 2, (6, 2)))
         _, a_w, q_w = rc.expand_cell_state(x, g, p, 5, return_weights=True)
@@ -287,12 +292,12 @@ class TestExpansionIdentity:
 class TestCellGradients:
     def test_graph_cell_gradients_match_finite_differences(self):
         rng = np.random.default_rng(15)
-        p = rc.GraphGatedParams(3, 2, 4, rng)
+        p = rc.LstmParams(3, 4, rng, graph_dim=2)
         x = ad.constant(rng.uniform(-1, 1, (4, 3)))
         g = ad.constant(rng.uniform(-1, 1, (4, 2)))
 
         def loss():
-            return rc.run_bidirectional(x, g, p, p).sum()
+            return rc.bidirectional(x, g, [4], p, p).sum()
 
         report = check_gradients(loss, p.parameters(), step=1e-5, floor=1e-3)
         assert report.max_rel_err < 1e-4, report.per_param
@@ -310,12 +315,12 @@ def _padded(rng, dim, lengths=LENGTHS):
 def _kernel_case(graph, seed):
     rng = np.random.default_rng(seed)
     if graph:
-        fwd = rc.GraphGatedParams(3, 2, 4, rng)
-        bwd = rc.GraphGatedParams(3, 2, 4, rng)
+        fwd = rc.LstmParams(3, 4, rng, graph_dim=2)
+        bwd = rc.LstmParams(3, 4, rng, graph_dim=2)
         g = _padded(rng, 2)
     else:
-        fwd = rc.PlainLstmParams(3, 4, rng)
-        bwd = rc.PlainLstmParams(3, 4, rng)
+        fwd = rc.LstmParams(3, 4, rng)
+        bwd = rc.LstmParams(3, 4, rng)
         g = None
     return fwd, bwd, _padded(rng, 3), g, rng
 

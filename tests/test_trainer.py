@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syntag import autodiff as ad
 from syntag.autodiff import Tensor
@@ -125,6 +127,13 @@ class TestRandomTrees:
         for _ in range(500):
             n = int(rng.integers(1, 15))
             validate_tree(random_tree_heads(n, rng), 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_always_valid_property(self, n, seed):
+        heads = random_tree_heads(n, np.random.default_rng(seed))
+        validate_tree(heads)
+        assert len(heads) == n and heads.count(0) == 1
 
     def test_tiny_sizes(self):
         rng = np.random.default_rng(0)
@@ -298,8 +307,8 @@ class TestTrainLoop:
                 if seen["count"] == 3:
                     seen["before"] = snapshot_params(self)
                     seen["model"] = self
-                    target = self.cell_fwd.h_f
-                    # adds 0 to the loss, but sends an inf gradient to h_f
+                    target = self.cell_fwd.W_h
+                    # adds 0 to the loss, but sends an inf gradient to W_h
                     zero = ad.record(Tensor(0.0), (target,), lambda g: (
                         np.full(target.data.shape, np.inf),))
                     loss = loss + zero
@@ -309,8 +318,8 @@ class TestTrainLoop:
         with pytest.raises(NumericalError) as info:
             train(small_config(epochs=2), train_c, dev_c)
         assert (info.value.epoch, info.value.batch) == (1, 2)
-        assert info.value.parameter == "cell_fwd.h_f"
-        assert "epoch 1, batch 2, parameter 'cell_fwd.h_f'" in str(info.value)
+        assert info.value.parameter == "cell_fwd.W_h"
+        assert "epoch 1, batch 2, parameter 'cell_fwd.W_h'" in str(info.value)
         after = snapshot_params(seen["model"])
         assert all(np.array_equal(after[k], v) for k, v in seen["before"].items())
 
@@ -400,6 +409,27 @@ class TestCheckpoint:
         raw[4:6] = (99).to_bytes(2, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="version"):
+            load_checkpoint(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        result, _ = self.run_small()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(result.checkpoint, path)
+        raw = bytearray(path.read_bytes())
+        raw[4:6] = (1).to_bytes(2, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
+    def test_flipped_payload_bit_rejected(self, tmp_path):
+        result, _ = self.run_small()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(result.checkpoint, path)
+        raw = bytearray(path.read_bytes())
+        # the lowest mantissa bit of the last float: the record still parses
+        raw[-8] ^= 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="checksum"):
             load_checkpoint(path)
 
     def test_truncation_detected(self, tmp_path):
