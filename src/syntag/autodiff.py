@@ -43,8 +43,6 @@ __all__ = [
     "sigmoid",
     "tanh",
     "relu",
-    "exp",
-    "log",
     "concat",
     "reshape",
     "logsumexp",
@@ -360,26 +358,6 @@ def relu(a):
 
     def bk(g):
         return (g * positive,)
-
-    return record(out, (a,), bk)
-
-
-def exp(a):
-    out_data = np.exp(a.data)
-    out = Tensor(out_data)
-
-    def bk(g):
-        return (g * out_data,)
-
-    return record(out, (a,), bk)
-
-
-def log(a):
-    out = Tensor(np.log(a.data))
-    a_data = a.data
-
-    def bk(g):
-        return (g / a_data,)
 
     return record(out, (a,), bk)
 

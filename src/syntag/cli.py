@@ -13,7 +13,7 @@ from .data import (decode_label_spans, encode_label_spans, parse_corpus,
                    write_corpus)
 from .errors import NumericalError, SyntagError
 from .evaluation import (ablation_run, compare_tree_sources, entity_f1,
-                         gate_histogram, histogram_csv)
+                         gate_histogram, gate_mean, histogram_csv)
 from .gradcheck import check_model_variant
 from .model import DROPS, VARIANTS, ModelConfig
 from .synthetic import generate_corpus
@@ -106,6 +106,14 @@ def _split_corpus(corpus):
             corpus[n_train + n_dev:])
 
 
+def _load_for_data(args):
+    """Load --model, parse --data: (checkpoint, model, corpus, prepared)."""
+    ckpt = load_checkpoint(args.model)
+    model = build_model(ckpt)
+    corpus = parse_corpus(args.data, ckpt.config.label_scheme)
+    return ckpt, model, corpus, prepare_corpus(corpus, ckpt.config)
+
+
 def _normalized_predictions(model, corpus, scheme):
     """Predict, then re-encode through spans so output labels are valid."""
     raw = model.predict(corpus)
@@ -132,10 +140,7 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    ckpt = load_checkpoint(args.model)
-    model = build_model(ckpt)
-    corpus = parse_corpus(args.data, ckpt.config.label_scheme)
-    prepared = prepare_corpus(corpus, ckpt.config)
+    _, model, _, prepared = _load_for_data(args)
     pred = model.predict(prepared)
     report = entity_f1([s.labels for s in prepared], pred)
     print(report.to_text(), end="")
@@ -147,10 +152,7 @@ def _cmd_eval(args):
 
 
 def _cmd_predict(args):
-    ckpt = load_checkpoint(args.model)
-    model = build_model(ckpt)
-    corpus = parse_corpus(args.data, ckpt.config.label_scheme)
-    prepared = prepare_corpus(corpus, ckpt.config)
+    ckpt, model, corpus, prepared = _load_for_data(args)
     labels = _normalized_predictions(model, prepared,
                                      ckpt.config.label_scheme)
     tagged = []
@@ -180,16 +182,13 @@ def _cmd_gradcheck(args):
 
 
 def _cmd_analyze_gates(args):
-    ckpt = load_checkpoint(args.model)
-    model = build_model(ckpt)
-    corpus = parse_corpus(args.data, ckpt.config.label_scheme)
-    prepared = prepare_corpus(corpus, ckpt.config)
+    ckpt, model, _, prepared = _load_for_data(args)
     traces = model.gate_traces(prepared)
     counts = gate_histogram(traces, args.gate)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(histogram_csv(counts))
     total = int(counts.sum())
-    mean = model.mean_gate(prepared, args.gate) \
+    mean = gate_mean(traces, args.gate) \
         if ckpt.config.variant == "syn-lstm-crf" else None
     line = f"{total} activations histogrammed into {args.out}"
     if mean is not None:

@@ -204,25 +204,6 @@ def nll_batch(emissions_flat, lengths, trans, gold_ids):
     return (log_z - gold) * (1.0 / len(lengths))
 
 
-def score_sequence(lattice, trans, y):
-    """Score one sequence on a single-sentence lattice (tape-friendly)."""
-    y = np.asarray(y, dtype=np.intp)
-    if y.shape != (lattice.n,):
-        raise ContractError(f"label sequence length {y.shape} vs n={lattice.n}")
-    return reshape(
-        score_batch(lattice.emissions, [lattice.n], trans, y[None, :]), ())
-
-
-def log_partition(lattice, trans):
-    return reshape(
-        log_partition_batch(lattice.emissions, [lattice.n], trans), ())
-
-
-def nll(lattice, trans, gold):
-    """Negative log likelihood of the gold sequence; non-negative."""
-    return log_partition(lattice, trans) - score_sequence(lattice, trans, gold)
-
-
 def _as_arrays(lattice, trans):
     em = lattice.emissions.data if isinstance(lattice.emissions, Tensor) \
         else np.asarray(lattice.emissions)
@@ -346,9 +327,6 @@ __all__ = [
     "log_partition_batch",
     "score_batch",
     "nll_batch",
-    "score_sequence",
-    "log_partition",
-    "nll",
     "viterbi",
     "viterbi_batch",
     "brute_force",

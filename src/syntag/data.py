@@ -24,6 +24,7 @@ from .errors import (
     SchemeError,
     TreeValidationError,
 )
+from .initializers import embedding_table
 
 PAD = "<pad>"
 UNK = "<unk>"
@@ -319,10 +320,6 @@ class Vocabulary:
         for name, i in self.labels.items():
             self.label_names[i] = name
 
-    @property
-    def num_labels(self):
-        return len(self.labels)
-
     def word_id(self, token):
         wid = self.words.get(token)
         if wid is None:
@@ -343,17 +340,6 @@ class Vocabulary:
             return self.labels[name]
         except KeyError:
             raise ContractError(f"label {name!r} not in the training label set") from None
-
-    def label_name(self, i):
-        if not 0 <= i < len(self.label_names):
-            raise ContractError(f"label id {i} out of range")
-        return self.label_names[i]
-
-    def deprel_names(self):
-        out = [None] * len(self.deprels)
-        for name, i in self.deprels.items():
-            out[i] = name
-        return [n for n in out if n not in (PAD, UNK)]
 
     def to_dict(self):
         return {
@@ -410,13 +396,6 @@ def build_vocab(corpus, min_count=1):
     return Vocabulary(words, chars, pos_tags, deprels, labels)
 
 
-def embedding_init(rng, shape, dim=None):
-    """Random rows for embedding tables: uniform with 1/sqrt(D) scale."""
-    d = shape[-1] if dim is None else dim
-    bound = np.sqrt(3.0 / d)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def load_embeddings(path, vocab, rng):
     """Load pretrained word vectors for every word in ``vocab``.
 
@@ -450,8 +429,7 @@ def load_embeddings(path, vocab, rng):
                 raise FormatError(f"line {line_no}: non-numeric vector value") from None
     if dim is None:
         raise FormatError("embedding file contains no vectors")
-    matrix = embedding_init(rng, (len(vocab.words), dim))
-    matrix[0] = 0.0  # PAD
+    matrix = embedding_table(rng, len(vocab.words), dim).data
     for token, wid in vocab.words.items():
         if token in (PAD, UNK):
             continue

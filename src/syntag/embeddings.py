@@ -17,14 +17,8 @@ import numpy as np
 
 from .autodiff import Tensor, concat, constant, rows
 from .errors import ContractError
+from .initializers import embedding_table
 from .recurrent import LstmParams, bidirectional
-
-
-def _embedding_table(rng, count, dim):
-    bound = np.sqrt(3.0 / dim)
-    data = rng.uniform(-bound, bound, size=(count, dim))
-    data[0] = 0.0  # PAD
-    return Tensor(data, requires_grad=True)
 
 
 class EmbeddingTables:
@@ -41,14 +35,14 @@ class EmbeddingTables:
                 )
             self.word = Tensor(m, requires_grad=True)
         else:
-            self.word = _embedding_table(rng, len(vocab.words), word_dim)
-        self.char = _embedding_table(rng, len(vocab.chars), char_dim)
+            self.word = embedding_table(rng, len(vocab.words), word_dim)
+        self.char = embedding_table(rng, len(vocab.chars), char_dim)
         self.deprel = None
         self.pos = None
         if deprel_dim is not None:
-            self.deprel = _embedding_table(rng, len(vocab.deprels), deprel_dim)
+            self.deprel = embedding_table(rng, len(vocab.deprels), deprel_dim)
         if pos_dim is not None:
-            self.pos = _embedding_table(rng, len(vocab.pos_tags), pos_dim)
+            self.pos = embedding_table(rng, len(vocab.pos_tags), pos_dim)
 
     def parameters(self):
         out = {"word_table": self.word, "char_table": self.char}

@@ -1,4 +1,4 @@
-"""Span-level scoring, gate statistics, and paired significance testing.
+"""Span-level scoring, gate statistics, and the tree and ablation experiments.
 
 Scoring is exact-match on (start, end, type) spans. Gold label sequences
 must be valid; predicted sequences are decoded leniently, dropping
@@ -21,11 +21,6 @@ SENTENCE_BUCKETS = (("<=14", 1, 14), ("15-29", 15, 29), ("30-44", 30, 44),
 ENTITY_BUCKETS = ("1", "2", "3", "4", "5", ">=6")
 
 GATE_BUCKET_EDGES = (0.0, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-
-
-def decode_spans(labels, scheme="bioes"):
-    """Lenient span decode for model output: malformed pieces are dropped."""
-    return decode_label_spans(labels, scheme, drop_malformed=True)
 
 
 def sentence_bucket(n):
@@ -76,7 +71,6 @@ class EvalReport:
     per_type: dict = field(default_factory=dict)
     sentence_length: dict = field(default_factory=dict)
     entity_length: dict = field(default_factory=dict)
-    per_sentence: list = field(default_factory=list)
 
     def to_text(self):
         lines = [
@@ -128,8 +122,6 @@ def entity_f1(gold_corpus, pred_corpus, scheme="bioes"):
     """Score predicted label sequences against gold, span by span.
 
     Both arguments are lists of per-sentence label lists of equal shape.
-    Returns an EvalReport; its per_sentence field carries the (tp, fp, fn)
-    triples that the bootstrap test consumes.
     """
     if len(gold_corpus) != len(pred_corpus):
         raise ContractError(
@@ -140,7 +132,6 @@ def entity_f1(gold_corpus, pred_corpus, scheme="bioes"):
     per_type = {}
     by_sentence = {name: _Counter() for name, _, _ in SENTENCE_BUCKETS}
     by_entity = {name: _Counter() for name in ENTITY_BUCKETS}
-    per_sentence = []
     for i, (gold_labels, pred_labels) in enumerate(
             zip(gold_corpus, pred_corpus)):
         if len(gold_labels) != len(pred_labels):
@@ -149,15 +140,13 @@ def entity_f1(gold_corpus, pred_corpus, scheme="bioes"):
                 f"prediction has {len(pred_labels)}"
             )
         gold = set(decode_label_spans(gold_labels, scheme))
-        pred = set(decode_spans(pred_labels, scheme))
+        pred = set(decode_label_spans(pred_labels, scheme, drop_malformed=True))
         s_bucket = by_sentence[sentence_bucket(len(gold_labels))]
-        tp_here = 0
         for span in gold | pred:
             start, end, etype = span
             counter = per_type.setdefault(etype, _Counter())
             e_bucket = by_entity[entity_bucket(end - start + 1)]
             if span in gold and span in pred:
-                tp_here += 1
                 for c in (overall, counter, s_bucket, e_bucket):
                     c.tp += 1
             elif span in pred:
@@ -166,8 +155,6 @@ def entity_f1(gold_corpus, pred_corpus, scheme="bioes"):
             else:
                 for c in (overall, counter, s_bucket, e_bucket):
                     c.fn += 1
-        per_sentence.append((tp_here, len(pred) - tp_here,
-                             len(gold) - tp_here))
     precision, recall, f1 = overall.prf()
 
     def row(counter, gold_count):
@@ -181,7 +168,6 @@ def entity_f1(gold_corpus, pred_corpus, scheme="bioes"):
         sentence_length={k: row(c, c.tp + c.fn)
                          for k, c in by_sentence.items()},
         entity_length={k: row(c, c.tp + c.fn) for k, c in by_entity.items()},
-        per_sentence=per_sentence,
     )
 
 
@@ -209,6 +195,21 @@ def gate_histogram(traces, gate="m"):
     return counts
 
 
+def gate_mean(traces, gate="m"):
+    """Mean activation of one gate over all tokens, dims and directions."""
+    total = 0.0
+    count = 0
+    for trace in traces:
+        if gate not in trace.arrays:
+            raise ContractError(f"no trace for gate {gate!r}")
+        arr = trace.arrays[gate]
+        total += float(arr.sum())
+        count += arr.size
+    if count == 0:
+        raise ContractError("no tokens to average over")
+    return total / count
+
+
 def histogram_csv(counts):
     rows = ["bucket_low,bucket_high,count"]
     for i, c in enumerate(counts):
@@ -218,51 +219,22 @@ def histogram_csv(counts):
     return "\n".join(rows) + "\n"
 
 
-# ----- significance ---------------------------------------------------------
+# ----- experiments ----------------------------------------------------------
 
-def bootstrap_test(gold_corpus, pred_a, pred_b, resamples=1000, seed=0,
-                   scheme="bioes"):
-    """Paired bootstrap over sentences; returns the reversal fraction.
+def _train_and_score(cfg, train_corpus, dev_corpus, test_corpus):
+    """Train on ``cfg``, then decode and score the prepared test split.
 
-    The observed F1 difference between systems a and b is computed once;
-    then sentences are resampled with replacement and the p value is the
-    fraction of resamples whose difference strictly reverses sign. Two
-    identical prediction sets, or a zero observed difference, give 1.0.
-    Per-sentence statistics are sorted before resampling so the result does
-    not depend on corpus order.
+    Returns (TrainResult, the best model, the prepared test split, its
+    EvalReport).
     """
-    if pred_a == pred_b:
-        return 1.0
-    report_a = entity_f1(gold_corpus, pred_a, scheme)
-    report_b = entity_f1(gold_corpus, pred_b, scheme)
-    observed = report_a.f1 - report_b.f1
-    if observed == 0.0:
-        return 1.0
-    stats = np.array(
-        sorted((sa + sb) for sa, sb
-               in zip(report_a.per_sentence, report_b.per_sentence)),
-        dtype=np.float64,
-    )
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, stats.shape[0], size=(resamples, stats.shape[0]))
-    sums = stats[idx].sum(axis=1)
+    from .training import build_model, prepare_corpus, train
 
-    def f1_of(tp, fp, fn):
-        denom = 2.0 * tp + fp + fn
-        out = np.zeros_like(tp)
-        np.divide(2.0 * tp, denom, out=out, where=denom > 0)
-        return out
+    result = train(cfg, train_corpus, dev_corpus)
+    model = build_model(result.checkpoint)
+    test_t = prepare_corpus(test_corpus, cfg)
+    report = entity_f1([s.labels for s in test_t], model.predict(test_t))
+    return result, model, test_t, report
 
-    delta = (f1_of(sums[:, 0], sums[:, 1], sums[:, 2])
-             - f1_of(sums[:, 3], sums[:, 4], sums[:, 5]))
-    if observed > 0:
-        reversals = int((delta < 0).sum())
-    else:
-        reversals = int((delta > 0).sum())
-    return reversals / resamples
-
-
-# ----- experiment drivers ---------------------------------------------------
 
 @dataclass
 class TreeComparisonReport:
@@ -296,8 +268,6 @@ def compare_tree_sources(config, train_corpus, dev_corpus, test_corpus,
     training data, so a model trained on random trees is also decoded
     with random trees.
     """
-    from .training import build_model, prepare_corpus, train
-
     f1 = {}
     mean_gate = {}
     best_epochs = {}
@@ -308,12 +278,9 @@ def compare_tree_sources(config, train_corpus, dev_corpus, test_corpus,
                                       tree_file=path)
         else:
             cfg = dataclasses.replace(config, tree_source=name)
-        cfg.validate()
-        result = train(cfg, train_corpus, dev_corpus)
-        model = build_model(result.checkpoint)
-        test_t = prepare_corpus(test_corpus, cfg)
-        pred = model.predict(test_t)
-        f1[source] = entity_f1([s.labels for s in test_t], pred).f1
+        result, model, test_t, report = _train_and_score(
+            cfg, train_corpus, dev_corpus, test_corpus)
+        f1[source] = report.f1
         if cfg.variant == "syn-lstm-crf":
             mean_gate[source] = model.mean_gate(test_t)
         else:
@@ -336,13 +303,7 @@ class AblationResult:
 
 def ablation_run(config, train_corpus, dev_corpus, test_corpus, drop):
     """Train with one component removed and score the test split."""
-    from .training import build_model, prepare_corpus, train
-
     cfg = dataclasses.replace(config, drop=drop)
-    cfg.validate()
-    result = train(cfg, train_corpus, dev_corpus)
-    model = build_model(result.checkpoint)
-    test_t = prepare_corpus(test_corpus, cfg)
-    pred = model.predict(test_t)
-    report = entity_f1([s.labels for s in test_t], pred)
+    result, _, _, report = _train_and_score(cfg, train_corpus, dev_corpus,
+                                            test_corpus)
     return AblationResult(drop, report, result.checkpoint.best_epoch)

@@ -14,50 +14,28 @@ relu(g_prev @ w + b) exactly; the default is the aggregation above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .autodiff import Tensor, bmm_const, constant, matmul, relu, reshape
+from .autodiff import bmm_const, matmul, relu, reshape
 from .errors import DimensionError
 from .initializers import glorot, zeros
 
 
-@dataclass
-class AdjacencyMatrix:
-    n: int
-    a: np.ndarray
-    degrees: np.ndarray
-
-    def normalized(self):
-        return self.a / self.degrees[:, None]
-
-
-def build_adjacency(heads):
-    """Symmetric 0/1 adjacency with self-loops from a validated head list."""
-    n = len(heads)
-    a = np.eye(n)
-    for i, h in enumerate(heads):
-        if h != 0:
-            a[i, h - 1] = 1.0
-            a[h - 1, i] = 1.0
-    return AdjacencyMatrix(n=n, a=a, degrees=a.sum(axis=1))
-
-
 def batch_normalized_adjacency(heads_list, n_max):
-    """Stack row-normalized adjacencies padded to n_max.
+    """Stack row-normalized adjacencies padded to n_max: (B, n_max, n_max).
 
-    Padded positions get a bare self-loop so their degree is 1; their
-    output rows are never consumed downstream.
+    Every row starts with its self-loop, each head-dependent pair adds a 1
+    in both directions, and rows are divided by their degree. Padded
+    positions keep a bare self-loop, so their degree is 1; their output
+    rows are never consumed downstream.
     """
-    batch = len(heads_list)
-    out = np.zeros((batch, n_max, n_max))
+    a = np.tile(np.eye(n_max), (len(heads_list), 1, 1))
     for b, heads in enumerate(heads_list):
-        adj = build_adjacency(heads)
-        out[b, : adj.n, : adj.n] = adj.normalized()
-        for i in range(adj.n, n_max):
-            out[b, i, i] = 1.0
-    return out
+        dep = np.flatnonzero(heads)
+        head = np.asarray(heads)[dep] - 1
+        a[b, dep, head] = a[b, head, dep] = 1.0
+    a /= a.sum(axis=2, keepdims=True)
+    return a
 
 
 class GcnParams:
@@ -75,38 +53,12 @@ class GcnParams:
             self.weights.append(glorot(rng, d_in, hidden))
             self.biases.append(zeros(hidden))
 
-    @property
-    def num_layers(self):
-        return len(self.weights)
-
     def parameters(self):
         out = {}
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             out[f"{l}.w"] = w
             out[f"{l}.b"] = b
         return out
-
-
-def gcn_layer(g_prev, adj, w, b, self_only=False):
-    """One layer over a single sentence: (n, D) -> (n, H)."""
-    if g_prev.data.shape[1] != w.data.shape[0]:
-        raise DimensionError(
-            f"gcn_layer: input dim {g_prev.data.shape} does not match "
-            f"weight {w.data.shape}"
-        )
-    msg = matmul(g_prev, w)
-    if self_only:
-        return relu(msg + b)
-    agg = matmul(constant(adj.normalized()), msg)
-    return relu(agg + b)
-
-
-def encode(g0, adj, params, self_only=False):
-    """Full L-layer encoding of one sentence."""
-    g = g0
-    for w, b in zip(params.weights, params.biases):
-        g = gcn_layer(g, adj, w, b, self_only=self_only)
-    return g
 
 
 def encode_batch(g0_flat, adj_norm, params, self_only=False):

@@ -100,6 +100,7 @@ def random_instances(count, length, num_labels, seed, vocab_words=12):
     ``length`` tokens (single-token spans only, which is always valid).
     """
     from .data import Sentence
+    from .training import random_tree_heads
 
     rng = np.random.default_rng(seed)
     words = [f"w{w}" for w in range(vocab_words)]
@@ -111,7 +112,7 @@ def random_instances(count, length, num_labels, seed, vocab_words=12):
         toks = [words[rng.integers(len(words))] for _ in range(length)]
         pos = [pos_tags[rng.integers(len(pos_tags))] for _ in range(length)]
         dep = [rels[rng.integers(len(rels))] for _ in range(length)]
-        heads = _random_heads(length, rng)
+        heads = random_tree_heads(length, rng)
         labels = []
         for _ in range(length):
             if rng.random() < 0.5:
@@ -120,15 +121,6 @@ def random_instances(count, length, num_labels, seed, vocab_words=12):
                 labels.append("S-" + types[rng.integers(len(types))])
         sentences.append(Sentence(toks, pos, heads, dep, labels))
     return sentences
-
-
-def _random_heads(n, rng):
-    """Random rooted tree over n tokens as a 1-based head list (0 = root)."""
-    if n == 1:
-        return [0]
-    from .training import random_tree_heads
-
-    return random_tree_heads(n, rng)
 
 
 def check_model_variant(variant, seed=0, count=5, length=3, hidden=8, step=1e-5,

@@ -13,5 +13,13 @@ def glorot(rng, fan_in, fan_out, shape=None):
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
+def embedding_table(rng, count, dim):
+    """Uniform init with bound sqrt(3 / dim); row 0 (PAD) is zero."""
+    bound = np.sqrt(3.0 / dim)
+    data = rng.uniform(-bound, bound, size=(count, dim))
+    data[0] = 0.0
+    return Tensor(data, requires_grad=True)
+
+
 def zeros(*shape):
     return Tensor(np.zeros(shape), requires_grad=True)

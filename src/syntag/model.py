@@ -27,6 +27,7 @@ from .autodiff import concat, constant, rows
 from .data import Vocabulary
 from .embeddings import CharEncoder, EmbeddingTables, scatter_token_rows
 from .errors import ContractError, FormatError
+from .evaluation import gate_mean
 from .gcn import GcnParams, batch_normalized_adjacency, encode_batch
 from .recurrent import (LstmParams, extract_traces,
                         run_graph_bidirectional_batch,
@@ -36,15 +37,6 @@ VARIANTS = ("syn-lstm-crf", "bilstm-crf", "gcn-concat-bilstm-crf")
 DROPS = ("gcn-1-layer", "gcn-all", "deprel-embedding", "pos-embedding",
          "original-dependency")
 TREE_SOURCES = ("given", "random", "predicted")
-
-_INT_FIELDS = frozenset({"hidden", "gcn_layers", "word_dim", "char_dim",
-                         "char_hidden", "deprel_dim", "pos_dim", "batch_size",
-                         "epochs", "seed", "min_count"})
-_FLOAT_FIELDS = frozenset({"dropout", "lr", "decay", "l2", "clip_norm"})
-_BOOL_FIELDS = frozenset({"crf_constraints", "fine_tune_words",
-                          "self_only_gcn"})
-_OPT_STR_FIELDS = frozenset({"tree_file", "drop", "embeddings"})
-
 
 @dataclass
 class ModelConfig:
@@ -117,7 +109,7 @@ class ModelConfig:
     @classmethod
     def from_file(cls, path):
         kwargs = {}
-        names = {f.name for f in dataclasses.fields(cls)}
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
@@ -127,10 +119,10 @@ class ModelConfig:
                     raise FormatError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, value = line.partition("=")
                 key, value = key.strip(), value.strip()
-                if key not in names:
+                if key not in types:
                     raise FormatError(f"{path}:{lineno}: unknown option {key!r}")
                 try:
-                    kwargs[key] = _convert_option(key, value)
+                    kwargs[key] = _convert_option(types[key], value)
                 except ValueError:
                     raise FormatError(
                         f"{path}:{lineno}: bad value {value!r} for {key!r}"
@@ -138,17 +130,18 @@ class ModelConfig:
         return cls(**kwargs).validate()
 
 
-def _convert_option(key, value):
-    if key in _INT_FIELDS:
+def _convert_option(annotation, value):
+    """Parse one config value by its field's annotation (a string here)."""
+    if annotation == "int":
         return int(value)
-    if key in _FLOAT_FIELDS:
+    if annotation == "float":
         return float(value)
-    if key in _BOOL_FIELDS:
+    if annotation == "bool":
         low = value.lower()
         if low not in ("true", "false"):
             raise ValueError(value)
         return low == "true"
-    if key in _OPT_STR_FIELDS and value.lower() == "none":
+    if annotation == "str | None" and value.lower() == "none":
         return None
     return value
 
@@ -383,14 +376,5 @@ class SequenceTagger:
             raise ContractError(
                 f"variant {self.config.variant!r} has no {gate!r} gate trace"
             )
-        total = 0.0
-        count = 0
-        for trace in self.gate_traces(sentences, batch_size=batch_size):
-            if gate not in trace.arrays:
-                raise ContractError(f"no trace for gate {gate!r}")
-            arr = trace.arrays[gate]
-            total += float(arr.sum())
-            count += arr.size
-        if count == 0:
-            raise ContractError("no tokens to average over")
-        return total / count
+        return gate_mean(self.gate_traces(sentences, batch_size=batch_size),
+                         gate)

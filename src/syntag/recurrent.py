@@ -358,20 +358,12 @@ class GateTrace:
     def __init__(self, arrays):
         self.arrays = arrays
 
-    def values(self, gate):
-        if gate not in self.arrays:
-            raise ContractError(f"gate {gate!r} not traced; have {sorted(self.arrays)}")
-        return self.arrays[gate]
 
-    def mean(self, gate):
-        return float(self.values(gate).mean())
-
-
-def extract_traces(trace_sink, lengths, gate_names=GATE_NAMES):
+def extract_traces(trace_sink, lengths):
     """Slice a batched trace sink into per-sentence GateTrace objects."""
     fwd, bwd = trace_sink["fwd"], trace_sink["bwd"]
     return [GateTrace({gate: np.stack([fwd[gate][b, :n], bwd[gate][b, :n]], axis=1)
-                       for gate in gate_names if gate in fwd})
+                       for gate in GATE_NAMES if gate in fwd})
             for b, n in enumerate(lengths)]
 
 

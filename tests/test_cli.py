@@ -5,7 +5,7 @@ import pytest
 
 from syntag.cli import main
 from syntag.data import parse_corpus, validate_labels
-from syntag.model import ModelConfig
+from syntag.model import ModelConfig, SequenceTagger
 from syntag.training import load_checkpoint
 
 
@@ -121,6 +121,25 @@ class TestAnalyzeGates:
         corpus = parse_corpus(workdir / "dev.tsv")
         tokens = sum(len(s) for s in corpus)
         assert total == tokens * 2 * 8  # directions * hidden
+
+
+    def test_runs_the_model_once_per_batch(self, workdir, monkeypatch):
+        calls = []
+        forward = SequenceTagger.forward_batch
+
+        def counting(self, *args, **kwargs):
+            calls.append(len(args[0]))
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(SequenceTagger, "forward_batch", counting)
+        code = main(["analyze-gates", "--model", str(workdir / "model.ckpt"),
+                     "--data", str(workdir / "train.tsv"),
+                     "--gate", "m", "--out", str(workdir / "gates2.csv")])
+        assert code == 0
+        sentences = len(parse_corpus(workdir / "train.tsv"))
+        assert sentences > 32
+        assert len(calls) == -(-sentences // 32)
+        assert sum(calls) == sentences
 
 
 class TestExperimentCommands:

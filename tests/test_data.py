@@ -289,7 +289,7 @@ class TestVocabulary:
         s2 = data.Sentence(["w"] * 4, ["X"] * 4, [0, 1, 1, 1], ["r"] * 4,
                            ["B-B", "I-B", "E-B", "S-B"])
         vocab = data.build_vocab([s1, s2])
-        assert vocab.num_labels == 9
+        assert len(vocab.labels) == 9
         assert set(vocab.labels) == set(labels)
 
     def test_round_trip_dict(self):

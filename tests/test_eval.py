@@ -1,12 +1,12 @@
-"""Span scoring, bucket breakdowns, gate histograms, bootstrap test."""
+"""Span scoring, bucket breakdowns, gate histograms and means."""
 
 import numpy as np
 import pytest
 
+from syntag.data import decode_label_spans
 from syntag.errors import ContractError, DataIntegrityError, SchemeError
-from syntag.evaluation import (GATE_BUCKET_EDGES, bootstrap_test,
-                               decode_spans, entity_bucket, entity_f1,
-                               gate_histogram, histogram_csv,
+from syntag.evaluation import (GATE_BUCKET_EDGES, entity_bucket, entity_f1,
+                               gate_histogram, gate_mean, histogram_csv,
                                sentence_bucket)
 from syntag.recurrent import GateTrace
 
@@ -80,12 +80,6 @@ class TestEntityF1:
             entity_f1([olabels(2)], [olabels(2), olabels(2)])
         with pytest.raises(ContractError):
             entity_f1([olabels(2)], [olabels(3)])
-
-    def test_per_sentence_stats(self):
-        gold = [["S-PER", "O"], ["S-LOC", "S-ORG"]]
-        pred = [["S-PER", "S-PER"], ["O", "S-ORG"]]
-        report = entity_f1(gold, pred)
-        assert report.per_sentence == [(1, 1, 0), (1, 0, 1)]
 
 
 class TestBuckets:
@@ -212,6 +206,14 @@ class TestGateHistogram:
         with pytest.raises(ContractError):
             gate_histogram([self.trace_of([0.5])], "f")
 
+    def test_mean_over_all_traces(self):
+        traces = [self.trace_of([0.2, 0.4]), self.trace_of([0.9])]
+        assert gate_mean(traces, "m") == pytest.approx(0.5, abs=1e-15)
+        with pytest.raises(ContractError):
+            gate_mean(traces, "f")
+        with pytest.raises(ContractError):
+            gate_mean([], "m")
+
     def test_csv_layout(self):
         counts = gate_histogram([self.trace_of([0.3, 0.45, 0.95])], "m")
         csv = histogram_csv(counts)
@@ -224,64 +226,13 @@ class TestGateHistogram:
         assert total == 3
 
 
-class TestBootstrap:
-    def corpus(self, rng, count=30):
-        gold, good, bad = [], [], []
-        for _ in range(count):
-            n = int(rng.integers(3, 9))
-            labels = olabels(n)
-            pos = int(rng.integers(n))
-            labels[pos] = "S-PER"
-            gold.append(labels)
-            good.append(list(labels))
-            wrong = olabels(n)
-            wrong[(pos + 1) % n] = "S-PER"
-            bad.append(wrong)
-        return gold, good, bad
-
-    def test_identical_predictions_give_one(self):
-        gold, good, _ = self.corpus(np.random.default_rng(0))
-        assert bootstrap_test(gold, good, [list(x) for x in good]) == 1.0
-
-    def test_zero_observed_delta_gives_one(self):
-        gold = [["S-PER", "O"], ["O", "S-PER"]]
-        pred_a = [["S-PER", "S-PER"], ["O", "O"]]
-        pred_b = [["O", "O"], ["S-PER", "S-PER"]]
-        # both systems: one may check they tie on f1 overall
-        assert entity_f1(gold, pred_a).f1 == entity_f1(gold, pred_b).f1
-        assert bootstrap_test(gold, pred_a, pred_b) == 1.0
-
-    def test_clear_winner_has_small_p(self):
-        gold, good, bad = self.corpus(np.random.default_rng(1))
-        p = bootstrap_test(gold, good, bad, resamples=500, seed=3)
-        assert p < 0.05
-
-    def test_deterministic_and_symmetric(self):
-        gold, good, bad = self.corpus(np.random.default_rng(2))
-        bad = bad[:10] + good[10:]  # make it closer so p is not pinned at 0
-        p1 = bootstrap_test(gold, good, bad, resamples=400, seed=5)
-        p2 = bootstrap_test(gold, good, bad, resamples=400, seed=5)
-        assert p1 == p2
-        p_swapped = bootstrap_test(gold, bad, good, resamples=400, seed=5)
-        assert p1 == p_swapped
-
-    def test_corpus_order_invariance(self):
-        gold, good, bad = self.corpus(np.random.default_rng(3))
-        bad = bad[:5] + good[5:]
-        p1 = bootstrap_test(gold, good, bad, resamples=400, seed=7)
-        perm = np.random.default_rng(0).permutation(len(gold))
-        p2 = bootstrap_test([gold[i] for i in perm],
-                            [good[i] for i in perm],
-                            [bad[i] for i in perm],
-                            resamples=400, seed=7)
-        assert p1 == p2
-
-
 class TestDecodeSpans:
     def test_lenient(self):
         labels = ["E-PER", "B-LOC", "O", "B-ORG", "I-ORG", "E-ORG", "S-PER"]
-        assert decode_spans(labels) == [(3, 5, "ORG"), (6, 6, "PER")]
+        assert decode_label_spans(labels, drop_malformed=True) == [
+            (3, 5, "ORG"), (6, 6, "PER")]
 
     def test_valid_passthrough(self):
         labels = ["B-PER", "E-PER", "O", "S-LOC"]
-        assert decode_spans(labels) == [(0, 1, "PER"), (3, 3, "LOC")]
+        assert decode_label_spans(labels, drop_malformed=True) == [
+            (0, 1, "PER"), (3, 3, "LOC")]

@@ -72,7 +72,7 @@ def variant_numbers(variant):
                             for lab in labels])
     for gate in sorted(fw.traces[0].arrays):
         out[f"trace/{gate}"] = np.concatenate(
-            [tr.values(gate) for tr in fw.traces])
+            [tr.arrays[gate] for tr in fw.traces])
     return out
 
 

@@ -1,5 +1,6 @@
 """Model assembly tests: variants, invariances, dropout, configuration."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -66,6 +67,19 @@ class TestConfig:
         c = ModelConfig(variant="bilstm-crf", hidden=17, dropout=0.25,
                         drop=None, embeddings=None, crf_constraints=True)
         path = tmp_path / "model.conf"
+        path.write_text(c.to_text())
+        assert ModelConfig.from_file(path) == c
+        # every field off its default, so each one's parsing is exercised
+        c = ModelConfig(
+            variant="gcn-concat-bilstm-crf", hidden=17, gcn_layers=3,
+            word_dim=11, char_dim=7, char_hidden=9, deprel_dim=13, pos_dim=5,
+            dropout=0.25, lr=0.05, decay=0.2, l2=1e-6, batch_size=8,
+            epochs=3, seed=7, label_scheme="bio", tree_source="predicted",
+            tree_file="trees.tsv", min_count=2, clip_norm=1.5,
+            crf_constraints=True, fine_tune_words=False, self_only_gcn=True,
+            drop="gcn-1-layer", embeddings="vectors.txt")
+        for f in dataclasses.fields(ModelConfig):
+            assert getattr(c, f.name) != f.default, f.name
         path.write_text(c.to_text())
         assert ModelConfig.from_file(path) == c
 

@@ -232,8 +232,8 @@ class TestBidirectional:
         traces = rc.extract_traces(sink, [4])
         assert len(traces) == 1
         tr = traces[0]
-        assert tr.values("m").shape == (4, 2, 4)
-        assert 0.0 < tr.mean("m") < 1.0
+        assert tr.arrays["m"].shape == (4, 2, 4)
+        assert 0.0 < tr.arrays["m"].mean() < 1.0
 
 
 class TestExpansionIdentity:
@@ -389,7 +389,7 @@ class TestKernel:
         for got, want in zip(rc.extract_traces(sink, LENGTHS), chain_traces):
             assert sorted(got.arrays) == sorted(want)
             for gate in want:
-                np.testing.assert_allclose(got.values(gate), want[gate],
+                np.testing.assert_allclose(got.arrays[gate], want[gate],
                                            rtol=0, atol=1e-14)
 
         def kernel_loss():

@@ -1,0 +1,66 @@
+"""Every name the package defines is reached by the package or the benchmark.
+
+A top-level function or class, or a public method, that only tests call is
+dead weight in ``src/syntag``: the test belongs with a reference copy in
+``tests/``, or the name goes. The declared oracles below are the exception,
+because the tests compare the production paths against them.
+
+A name counts as reached when it appears as an ``ast.Name``, an
+``ast.Attribute`` or an import alias anywhere in ``src/syntag/*.py`` or
+``bench/*.py``. Attribute names are matched without their receiver, so a
+definition that shares its name with an unrelated attribute (``.encode`` on
+``str``, ``.values`` on ``dict``) is taken as reached: the check is a lower
+bound on what is unused, not an exact count.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "syntag").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+
+ORACLES = frozenset({
+    "viterbi",                # crf: per-sentence reference for viterbi_batch
+    "brute_force",            # crf: enumeration oracle for logZ and argmax
+    "brute_force_marginals",  # crf: enumeration oracle for marginals
+    "graph_step",             # recurrent: per-step reference for the kernel
+    "plain_step",
+    "zero_state",
+    "expand_cell_state",      # recurrent: closed-form cell-state oracle
+})
+
+
+def _definitions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}"
+
+
+def _references(paths):
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_every_definition_is_reached_outside_tests():
+    assert PACKAGE and BENCH
+    reached = _references(PACKAGE + BENCH)
+    unreached = sorted(
+        f"{path.stem}.{name}"
+        for path in PACKAGE for name in _definitions(path)
+        if name.rpartition(".")[2] not in reached | ORACLES)
+    assert unreached == []
