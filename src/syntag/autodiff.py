@@ -45,7 +45,6 @@ __all__ = [
     "relu",
     "concat",
     "reshape",
-    "logsumexp",
     "rows",
     "take",
     "record",
@@ -187,6 +186,15 @@ class Tape:
                     inp.grad = g
                 else:
                     inp.grad = inp.grad + g
+        # Break each out._tape -> tape -> _nodes -> out cycle, so the step's
+        # activations go by reference counting once the tape itself does.
+        for out, _, _ in self._nodes:
+            out._tape = None
+        loss._tape = _SPENT
+
+
+_SPENT = Tape()  # where a loss points once its backward has run
+_SPENT._consumed = True
 
 
 def backward(loss):
@@ -413,28 +421,6 @@ def _sum(a, axis=None, keepdims=False):
         if not keepdims:
             g = np.expand_dims(g, ax)
         return (np.broadcast_to(g, in_shape).copy(),)
-
-    return record(out, (a,), bk)
-
-
-def logsumexp(a, axis):
-    """log(sum(exp(a))) along ``axis``, stabilized by the running max.
-
-    Entries equal to -inf behave as missing terms; a slice that is all -inf
-    yields -inf with zero gradient everywhere.
-    """
-    x = a.data
-    m = np.max(x, axis=axis, keepdims=True)
-    m_safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out_keep = np.log(np.sum(np.exp(x - m_safe), axis=axis, keepdims=True)) + m_safe
-    out = Tensor(np.squeeze(out_keep, axis=axis))
-    out_safe = np.where(np.isfinite(out_keep), out_keep, 0.0)
-    softmax = np.exp(x - out_safe)
-    softmax[~np.isfinite(x)] = 0.0
-
-    def bk(g):
-        return (np.expand_dims(g, axis) * softmax,)
 
     return record(out, (a,), bk)
 

@@ -8,11 +8,9 @@ START (id L) and STOP (id L+1). A sequence y of length n is scored as
 The learnable matrix is finite everywhere; structural impossibilities
 (entering START, leaving STOP, optional scheme constraints) live in a
 constant additive mask of 0 / -inf entries, so SGD and L2 never touch an
-infinity. All lattice math runs in log space on float64.
-
-The dynamic programs only ever slice the finite inner block and the START
-row / STOP column, so -inf arithmetic cannot reach training unless scheme
-constraints are enabled, and logsumexp treats -inf as an absent term.
+infinity. All lattice math runs in log space on float64, where a -inf
+score is an absent path: it has weight 0 in the forward algorithm and
+gets an exact zero gradient.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, constant, logsumexp, matmul, reshape, rows, take
+from .autodiff import Tensor, constant, matmul, record, take
 from .errors import ContractError, DimensionError
 from .initializers import glorot, zeros
 
@@ -128,43 +126,57 @@ def emissions_from_hidden(h, crf):
     return matmul(h, crf.emit_w) + crf.emit_b
 
 
-def _index_sets(num_labels):
-    L = num_labels
-    full = L + 2
-    inner = (np.arange(L)[:, None] * full + np.arange(L)[None, :]).ravel()
-    start_row = L * full + np.arange(L)
-    stop_col = np.arange(L) * full + (L + 1)
-    return inner, start_row, stop_col
+def _logsumexp(x):
+    """Stable log-sum-exp over axis 1 and the softmax weights along it.
+
+    -inf entries are absent terms; an all -inf slice gives -inf, weights 0.
+    """
+    m = np.max(x, axis=1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(x - m)
+    s = np.sum(e, axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        out = np.log(s) + m
+    return np.squeeze(out, axis=1), e / np.where(s > 0.0, s, 1.0)
 
 
 def log_partition_batch(emissions_flat, lengths, trans):
     """Forward algorithm over a padded batch; returns a (B,) tensor of logZ.
 
-    emissions_flat is (B * n_max, L) with sentence-major rows; positions at
-    or beyond a sentence's length are ignored via masked alpha updates.
+    emissions_flat is (B * n_max, L) with sentence-major rows; alpha is
+    carried unchanged past each sentence's length. The recursion is one tape
+    node whose backward is forward-backward: it walks the steps in reverse
+    through each step's softmax over the previous label, giving the label
+    marginals as d/d emissions and the expected transition counts, START
+    row and STOP column included, as d/d trans.
     """
-    lengths = np.asarray(lengths)
     batch = len(lengths)
-    L = emissions_flat.data.shape[1]
-    n_max = emissions_flat.data.shape[0] // batch
-    inner_idx, start_idx, stop_idx = _index_sets(L)
-    inner = reshape(take(trans, inner_idx), (1, L, L))
-    start_row = reshape(take(trans, start_idx), (1, L))
-    stop_col = reshape(take(trans, stop_idx), (1, L))
-    base = np.arange(batch) * n_max
+    em = emissions_flat.data.reshape(batch, -1, emissions_flat.data.shape[1])
+    _, n_max, L = em.shape
+    live = np.arange(n_max) < np.asarray(lengths)[:, None]
+    t = trans.data
+    alpha = em[:, 0] + t[L, :L]
+    weights = np.zeros((batch, n_max, L, L))  # P(y[s-1] = i | y[s] = j)
+    for s in range(1, n_max):
+        lse, weights[:, s] = _logsumexp(alpha[:, :, None] + t[:L, :L])
+        alpha = np.where(live[:, s, None], lse + em[:, s], alpha)
+    log_z, stop_weights = _logsumexp(alpha + t[:L, L + 1])
 
-    alpha = rows(emissions_flat, base) + start_row
-    mask = (np.arange(n_max)[None, :] < lengths[:, None]).astype(np.float64)
-    for t in range(1, n_max):
-        e_t = rows(emissions_flat, base + t)
-        scores = reshape(alpha, (batch, L, 1)) + inner
-        new = logsumexp(scores, axis=1) + e_t
-        col = mask[:, t: t + 1]
-        if col.all():
-            alpha = new
-        else:
-            alpha = constant(col) * new + constant(1.0 - col) * alpha
-    return logsumexp(alpha + stop_col, axis=1)
+    def bk(g):
+        d_trans = np.zeros_like(t)
+        d_alpha = g[:, None] * stop_weights
+        d_trans[:L, L + 1] = d_alpha.sum(axis=0)
+        d_em = np.zeros_like(em)
+        for s in range(n_max - 1, 0, -1):
+            d_em[:, s] = np.where(live[:, s, None], d_alpha, 0.0)
+            d_alpha = np.where(live[:, s, None], 0.0, d_alpha) + np.matmul(
+                weights[:, s], d_em[:, s, :, None])[:, :, 0]
+        d_em[:, 0] = d_alpha
+        d_trans[L, :L] = d_alpha.sum(axis=0)
+        d_trans[:L, :L] = np.einsum("bsij,bsj->ij", weights, d_em)
+        return d_em.reshape(emissions_flat.data.shape), d_trans
+
+    return record(Tensor(log_z), (emissions_flat, trans), bk)
 
 
 def score_batch(emissions_flat, lengths, trans, gold_ids):

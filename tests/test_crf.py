@@ -10,6 +10,7 @@ import reference
 from syntag import autodiff as ad
 from syntag import crf
 from syntag.errors import ContractError
+from syntag.gradcheck import check_gradients
 
 
 def _zero_trans(L):
@@ -261,6 +262,128 @@ class TestBatch:
             loss = crf.nll_batch(em, [2], trans, gold)
         ad.backward(loss)
         np.testing.assert_array_equal(em.grad[2:], 0.0)
+
+
+    def test_constrained_mixed_lengths_match_single_sentences(self):
+        names = ["O", "B-X", "I-X", "E-X", "S-X"]
+        idx = {n: i for i, n in enumerate(names)}
+        rng = np.random.default_rng(14)
+        p = crf.CrfParams(5, 4, rng, label_names=names, constrain_scheme="bioes")
+        trans = p.effective_transitions()
+        golds = [["S-X"], ["B-X", "I-X", "E-X", "O", "S-X"], ["O", "B-X", "E-X"]]
+        lengths = [len(y) for y in golds]
+        n_max = max(lengths)
+        ems = [rng.uniform(-2, 2, (n, 5)) for n in lengths]
+        flat = np.zeros((len(golds) * n_max, 5))
+        gold_pad = np.zeros((len(golds), n_max), dtype=int)
+        for b, n in enumerate(lengths):
+            flat[b * n_max: b * n_max + n] = ems[b]
+            gold_pad[b, :n] = [idx[y] for y in golds[b]]
+        batch_loss = crf.nll_batch(ad.constant(flat), lengths, trans, gold_pad)
+        singles = [
+            reference.nll(crf.TagLattice(n, ad.constant(ems[b])), trans,
+                          gold_pad[b, :n]).item()
+            for b, n in enumerate(lengths)
+        ]
+        assert np.all(np.isfinite(singles))
+        np.testing.assert_allclose(batch_loss.item(), np.mean(singles), rtol=1e-12)
+
+
+def _padded_case(rng, lengths, L, n_max=None, constrained=False):
+    """Random padded emissions and learnable transitions for one batch."""
+    n_max = n_max or max(lengths)
+    names = ["O", "B-X", "I-X", "E-X", "S-X"] if constrained else None
+    p = crf.CrfParams(L, 4, rng, label_names=names,
+                      constrain_scheme="bioes" if constrained else None)
+    p.transitions.data[...] = rng.uniform(-1, 1, (L + 2, L + 2))
+    em = ad.Tensor(rng.uniform(-2, 2, (len(lengths) * n_max, L)),
+                   requires_grad=True)
+    return em, p
+
+
+class TestForwardBackwardNode:
+    """log_partition_batch is one tape node; its backward is forward-backward."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_emission_gradient_is_brute_force_marginals(self, data):
+        constrained = data.draw(st.booleans(), label="constrained")
+        L = 5 if constrained else data.draw(st.integers(1, 4), label="L")
+        lengths = data.draw(st.lists(st.integers(1, 4), min_size=1,
+                                     max_size=3), label="lengths")
+        n_max = max(lengths) + data.draw(st.integers(0, 1), label="extra")
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        em, p = _padded_case(np.random.default_rng(seed), lengths, L, n_max,
+                             constrained)
+        with ad.Tape():
+            trans = p.effective_transitions()
+            log_z = crf.log_partition_batch(em, lengths, trans)
+            total = log_z.sum()
+        ad.backward(total)
+        grad = em.grad.reshape(len(lengths), n_max, L)
+        rows = em.data.reshape(len(lengths), n_max, L)
+        for b, n in enumerate(lengths):
+            lat = crf.TagLattice(n, ad.constant(rows[b, :n]))
+            marg = crf.brute_force_marginals(lat, trans)
+            np.testing.assert_allclose(grad[b, :n], marg, atol=1e-10)
+            assert np.all(grad[b, :n][marg == 0.0] == 0.0)
+            assert np.all(grad[b, n:] == 0.0)
+        assert np.all(np.isfinite(p.transitions.grad))
+        assert np.all(p.transitions.grad[np.isinf(p.structural_mask)] == 0.0)
+
+    def test_finite_differences_for_transitions_and_emissions(self):
+        rng = np.random.default_rng(15)
+        lengths = [4, 1, 3]
+        em, p = _padded_case(rng, lengths, 3, n_max=5)
+        w = ad.constant(rng.uniform(0.5, 2.0, len(lengths)))
+
+        def loss():
+            trans = p.effective_transitions()
+            return (w * crf.log_partition_batch(em, lengths, trans)).sum()
+
+        report = check_gradients(
+            loss, {"em": em, "transitions": p.transitions}, step=1e-6, floor=1.0)
+        assert report.max_rel_err < 1e-6, report.per_param
+        with ad.Tape():
+            total = loss()
+        ad.backward(total)
+        d_trans = p.transitions.grad
+        assert np.all(d_trans[p.start, :3] > 0.0)  # START row
+        assert np.all(d_trans[:3, p.stop] > 0.0)  # STOP column
+        grad = em.grad.reshape(3, 5, 3)
+        for b, n in enumerate(lengths):
+            assert np.all(grad[b, n:] == 0.0)
+
+    def test_stable_at_large_emissions(self):
+        rng = np.random.default_rng(16)
+        lengths = [4, 2]
+        em, p = _padded_case(rng, lengths, 3)
+        em.data *= 100.0
+        with ad.Tape():
+            trans = p.effective_transitions()
+            log_z = crf.log_partition_batch(em, lengths, trans)
+            total = log_z.sum()
+        ad.backward(total)
+        grad = em.grad.reshape(2, 4, 3)
+        for b, n in enumerate(lengths):
+            lat = crf.TagLattice(n, ad.constant(em.data.reshape(2, 4, 3)[b, :n]))
+            want, _ = crf.brute_force(lat, trans)
+            np.testing.assert_allclose(log_z.data[b], want, rtol=1e-12)
+            np.testing.assert_allclose(
+                grad[b, :n], crf.brute_force_marginals(lat, trans), atol=1e-10)
+        assert np.all(np.isfinite(em.grad))
+
+    def test_node_count_does_not_grow_with_length(self):
+        counts = []
+        for n_max in (5, 50):
+            rng = np.random.default_rng(17)
+            lengths = [n_max, 3, 1]
+            em, p = _padded_case(rng, lengths, 4, n_max)
+            gold = np.zeros((len(lengths), n_max), dtype=int)
+            with ad.Tape() as tape:
+                crf.nll_batch(em, lengths, p.effective_transitions(), gold)
+            counts.append(len(tape._nodes))
+        assert counts[0] == counts[1]
 
 
 class TestSchemeConstraints:

@@ -395,6 +395,19 @@ class TestCheckpoint:
         after = build_model(load_checkpoint(path)).predict(dev_c)
         assert before == after
 
+    def test_build_model_draws_no_initial_weights(self, monkeypatch):
+        result, _ = self.run_small()
+        want = result.checkpoint.params
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("build_model drew initial weights")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        named = build_model(result.checkpoint).named_tensors()
+        assert set(named) == set(want)
+        for name, arr in want.items():
+            assert np.array_equal(named[name].data, arr), name
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
