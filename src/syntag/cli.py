@@ -16,11 +16,10 @@ from .evaluation import (ablation_run, compare_tree_sources, entity_f1,
                          gate_histogram, gate_mean, histogram_csv)
 from .gradcheck import check_model_variant
 from .model import DROPS, VARIANTS, ModelConfig
+from .recurrent import GATE_NAMES
 from .synthetic import generate_corpus
 from .training import (build_model, load_checkpoint, prepare_corpus,
                        save_checkpoint, train)
-
-GATE_CHOICES = ("f", "i", "m", "o")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,7 +63,7 @@ def _build_parser():
                        help="histogram one gate's activations over a corpus")
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="corpus to trace (TSV)")
-    p.add_argument("--gate", default="m", choices=GATE_CHOICES,
+    p.add_argument("--gate", default="m", choices=GATE_NAMES,
                    help="gate to histogram (default m)")
     p.add_argument("--out", required=True, help="CSV output path")
 
@@ -183,12 +182,13 @@ def _cmd_gradcheck(args):
 
 def _cmd_analyze_gates(args):
     ckpt, model, _, prepared = _load_for_data(args)
-    traces = model.gate_traces(prepared)
-    counts = gate_histogram(traces, args.gate)
+    gates = {}
+    model.predict(prepared, gates=gates)
+    counts = gate_histogram(gates, args.gate)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(histogram_csv(counts))
     total = int(counts.sum())
-    mean = gate_mean(traces, args.gate) \
+    mean = gate_mean(gates, args.gate) \
         if ckpt.config.variant == "syn-lstm-crf" else None
     line = f"{total} activations histogrammed into {args.out}"
     if mean is not None:

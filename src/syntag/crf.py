@@ -79,26 +79,19 @@ def scheme_constraint_mask(label_names, scheme="bioes"):
     L = len(label_names)
     full = L + 2
     mask = np.zeros((full, full))
-
-    def pair_ok(prev, nxt):
-        try:
-            _check_bigram(prev, nxt, scheme)
-        except ValueError:
-            return False
-        return True
-
     for i, a in enumerate(label_names):
         for j, b in enumerate(label_names):
-            if not pair_ok(a, b):
+            if not _bigram_ok(a, b, scheme):
                 mask[i, j] = -np.inf
-        if not pair_ok(None, a):
+        if not _bigram_ok(None, a, scheme):
             mask[L, i] = -np.inf  # START -> a
-        if not pair_ok(a, None):
+        if not _bigram_ok(a, None, scheme):
             mask[i, L + 1] = -np.inf  # a -> STOP
     return mask
 
 
-def _check_bigram(prev, nxt, scheme):
+def _bigram_ok(prev, nxt, scheme):
+    """Whether label ``nxt`` may follow ``prev`` (None is START or STOP)."""
     def kind(tag):
         if tag is None or tag == "O":
             return "O", None
@@ -107,18 +100,12 @@ def _check_bigram(prev, nxt, scheme):
     pk, pt = kind(prev)
     nk, nt = kind(nxt)
     if scheme == "bio":
-        if nk == "I" and not (pk in ("B", "I") and pt == nt):
-            raise ValueError
-        if nk in ("E", "S"):
-            raise ValueError
-        return
-    open_after_prev = pk in ("B", "I")
-    if open_after_prev:
-        if nk not in ("I", "E") or nt != pt:
-            raise ValueError
-    else:
-        if nk in ("I", "E"):
-            raise ValueError
+        if nk == "I":
+            return pk in ("B", "I") and pt == nt
+        return nk not in ("E", "S")
+    if pk in ("B", "I"):
+        return nk in ("I", "E") and nt == pt
+    return nk not in ("I", "E")
 
 
 def emissions_from_hidden(h, crf):

@@ -173,7 +173,14 @@ def entity_f1(gold_corpus, pred_corpus, scheme="bioes"):
 
 # ----- gate statistics ------------------------------------------------------
 
-def gate_histogram(traces, gate="m"):
+def _gate_arrays(gates, gate):
+    """The per-batch arrays of ``gate`` in a ``predict(..., gates=...)`` dict."""
+    if gate not in gates:
+        raise ContractError(f"trace has no gate {gate!r}")
+    return gates[gate]
+
+
+def gate_histogram(gates, gate):
     """Count gate activations per bucket across a corpus.
 
     Buckets are [0, 0.4), [0.4, 0.5), ..., [0.9, 1.0]; every dimension of
@@ -182,10 +189,8 @@ def gate_histogram(traces, gate="m"):
     """
     inner = np.asarray(GATE_BUCKET_EDGES[1:-1])
     counts = np.zeros(len(GATE_BUCKET_EDGES) - 1, dtype=np.int64)
-    for trace in traces:
-        if gate not in trace.arrays:
-            raise ContractError(f"trace has no gate {gate!r}")
-        values = trace.arrays[gate].ravel()
+    for values in _gate_arrays(gates, gate):
+        values = values.ravel()
         if values.size and (values.min() < 0.0 or values.max() > 1.0):
             raise DataIntegrityError(
                 f"gate {gate!r} has activations outside [0, 1]"
@@ -195,19 +200,13 @@ def gate_histogram(traces, gate="m"):
     return counts
 
 
-def gate_mean(traces, gate="m"):
+def gate_mean(gates, gate):
     """Mean activation of one gate over all tokens, dims and directions."""
-    total = 0.0
-    count = 0
-    for trace in traces:
-        if gate not in trace.arrays:
-            raise ContractError(f"no trace for gate {gate!r}")
-        arr = trace.arrays[gate]
-        total += float(arr.sum())
-        count += arr.size
+    arrays = _gate_arrays(gates, gate)
+    count = sum(arr.size for arr in arrays)
     if count == 0:
         raise ContractError("no tokens to average over")
-    return total / count
+    return sum(float(arr.sum()) for arr in arrays) / count
 
 
 def histogram_csv(counts):
@@ -224,16 +223,18 @@ def histogram_csv(counts):
 def _train_and_score(cfg, train_corpus, dev_corpus, test_corpus):
     """Train on ``cfg``, then decode and score the prepared test split.
 
-    Returns (TrainResult, the best model, the prepared test split, its
-    EvalReport).
+    Returns (TrainResult, the test EvalReport, the gate activations of the
+    same decoding pass).
     """
     from .training import build_model, prepare_corpus, train
 
     result = train(cfg, train_corpus, dev_corpus)
     model = build_model(result.checkpoint)
     test_t = prepare_corpus(test_corpus, cfg)
-    report = entity_f1([s.labels for s in test_t], model.predict(test_t))
-    return result, model, test_t, report
+    gates = {}
+    report = entity_f1([s.labels for s in test_t],
+                       model.predict(test_t, gates=gates))
+    return result, report, gates
 
 
 @dataclass
@@ -278,11 +279,11 @@ def compare_tree_sources(config, train_corpus, dev_corpus, test_corpus,
                                       tree_file=path)
         else:
             cfg = dataclasses.replace(config, tree_source=name)
-        result, model, test_t, report = _train_and_score(
+        result, report, gates = _train_and_score(
             cfg, train_corpus, dev_corpus, test_corpus)
         f1[source] = report.f1
         if cfg.variant == "syn-lstm-crf":
-            mean_gate[source] = model.mean_gate(test_t)
+            mean_gate[source] = gate_mean(gates, "m")
         else:
             mean_gate[source] = None
         best_epochs[source] = result.checkpoint.best_epoch
@@ -304,6 +305,6 @@ class AblationResult:
 def ablation_run(config, train_corpus, dev_corpus, test_corpus, drop):
     """Train with one component removed and score the test split."""
     cfg = dataclasses.replace(config, drop=drop)
-    result, _, _, report = _train_and_score(cfg, train_corpus, dev_corpus,
-                                            test_corpus)
+    result, report, _ = _train_and_score(cfg, train_corpus, dev_corpus,
+                                         test_corpus)
     return AblationResult(drop, report, result.checkpoint.best_epoch)

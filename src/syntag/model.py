@@ -27,10 +27,8 @@ from .autodiff import concat, constant, rows
 from .data import Vocabulary
 from .embeddings import CharEncoder, EmbeddingTables, scatter_token_rows
 from .errors import ContractError, FormatError
-from .evaluation import gate_mean
 from .gcn import GcnParams, batch_normalized_adjacency, encode_batch
-from .recurrent import (LstmParams, extract_traces,
-                        run_graph_bidirectional_batch,
+from .recurrent import (LstmParams, run_graph_bidirectional_batch,
                         run_plain_bidirectional_batch)
 
 VARIANTS = ("syn-lstm-crf", "bilstm-crf", "gcn-concat-bilstm-crf")
@@ -153,7 +151,6 @@ class BatchForward:
     emissions: object          # (B * n_max, L) tensor
     lengths: list
     n_max: int
-    traces: list | None = None
 
 
 class SequenceTagger:
@@ -221,9 +218,8 @@ class SequenceTagger:
         for side, cell in (("fwd", self.cell_fwd), ("bwd", self.cell_bwd)):
             for name, t in cell.parameters().items():
                 out[f"cell_{side}.{name}"] = t
-        out["crf.transitions"] = self.crf.transitions
-        out["crf.emit_w"] = self.crf.emit_w
-        out["crf.emit_b"] = self.crf.emit_b
+        for name, t in self.crf.parameters().items():
+            out[f"crf.{name}"] = t
         return out
 
     def parameters(self):
@@ -262,9 +258,12 @@ class SequenceTagger:
         return (batch, lengths, n_max, word_ids, pos_ids, deprel_ids,
                 position_of, char_rows)
 
-    def forward_batch(self, sentences, train=False, rng=None,
-                      want_traces=False):
-        """Run the full encoder over a batch; returns a BatchForward."""
+    def forward_batch(self, sentences, train=False, rng=None, gates=None):
+        """Run the full encoder over a batch; returns a BatchForward.
+
+        A ``gates`` dict collects the recurrent layer's gate activations
+        (see ``recurrent.bidirectional``).
+        """
         if not sentences:
             raise ContractError("empty batch")
         if train and self.config.dropout > 0.0 and rng is None:
@@ -299,23 +298,21 @@ class SequenceTagger:
                 g_flat = encode_batch(g0, adj, self.gcn,
                                       self_only=self.config.self_only_gcn)
 
-        sink = {} if want_traces else None
         if self.config.variant == "syn-lstm-crf":
             h = run_graph_bidirectional_batch(x, g_flat, lengths,
                                               self.cell_fwd, self.cell_bwd,
-                                              trace_sink=sink)
+                                              gates=gates)
         elif self.config.variant == "bilstm-crf":
             h = run_plain_bidirectional_batch(x, lengths, self.cell_fwd,
-                                              self.cell_bwd, trace_sink=sink)
+                                              self.cell_bwd, gates=gates)
         else:
             xg = concat([x, g_flat], axis=1)
             h = run_plain_bidirectional_batch(xg, lengths, self.cell_fwd,
-                                              self.cell_bwd, trace_sink=sink)
+                                              self.cell_bwd, gates=gates)
         if train:
             h = self._dropout(h, rng)
         emissions = crf_mod.emissions_from_hidden(h, self.crf)
-        traces = extract_traces(sink, lengths) if want_traces else None
-        return BatchForward(emissions, lengths, n_max, traces)
+        return BatchForward(emissions, lengths, n_max)
 
     def _dropout(self, x, rng):
         p = self.config.dropout
@@ -340,13 +337,15 @@ class SequenceTagger:
         trans = self.crf.effective_transitions()
         return crf_mod.nll_batch(fw.emissions, fw.lengths, trans, gold)
 
-    def predict(self, sentences, batch_size=32):
+    def predict(self, sentences, batch_size=32, gates=None):
         """Viterbi label sequences (raw label names) for each sentence.
 
         Sentences are run in batches of similar length to cut padding: a
         stable sort by length, ``batch_size`` consecutive sentences per
         forward pass, results written back in input order. A sentence's
-        labels do not depend on which sentences share its batch.
+        labels do not depend on which sentences share its batch. A ``gates``
+        dict collects every batch's gate activations in the same pass, in
+        batch order rather than input order (see ``recurrent.bidirectional``).
         """
         order = sorted(range(len(sentences)), key=lambda i: len(sentences[i]))
         trans = self.crf.effective_transitions()
@@ -354,27 +353,10 @@ class SequenceTagger:
         out = [None] * len(sentences)
         for lo in range(0, len(order), batch_size):
             chunk = order[lo: lo + batch_size]
-            fw = self.forward_batch([sentences[i] for i in chunk])
+            fw = self.forward_batch([sentences[i] for i in chunk],
+                                    gates=gates)
             em = fw.emissions.data.reshape(len(chunk), fw.n_max, -1)
             paths, _ = crf_mod.viterbi_batch(em, fw.lengths, trans)
             for i, ids in zip(chunk, paths):
                 out[i] = [names[k] for k in ids]
         return out
-
-    def gate_traces(self, sentences, batch_size=32):
-        """GateTrace per sentence from inference-mode forward passes."""
-        traces = []
-        for lo in range(0, len(sentences), batch_size):
-            fw = self.forward_batch(sentences[lo: lo + batch_size],
-                                    want_traces=True)
-            traces.extend(fw.traces)
-        return traces
-
-    def mean_gate(self, sentences, gate="m", batch_size=32):
-        """Mean activation of one gate over all tokens, dims, directions."""
-        if self.config.variant != "syn-lstm-crf":
-            raise ContractError(
-                f"variant {self.config.variant!r} has no {gate!r} gate trace"
-            )
-        return gate_mean(self.gate_traces(sentences, batch_size=batch_size),
-                         gate)

@@ -30,8 +30,8 @@ they are and its backward returns each stacked gradient whole.
 Under a tape, each direction is one tape node with a hand-written BPTT
 backward: the reverse loop only carries the h and c gradients, and the
 weight and input gradients are single matmuls after it. With no tape active
-the kernel keeps no backward caches, only the gate activations when a trace
-is asked for.
+the kernel keeps no backward caches, only the gate activations when the
+caller asks for them.
 
 ``graph_step`` and ``plain_step`` are the same cells as chains of tape ops,
 one step at a time, reading each gate's block of the stacked weights
@@ -179,15 +179,15 @@ def _check_step_dims(x, expect, what):
         )
 
 
-def _direction(x, g, p, valid, reverse, out, final, keep, trace):
+def _direction(x, g, p, valid, reverse, out, final, keep, acts):
     """One direction of the kernel over a padded sentence-major batch.
 
     x is a (B * n, Dx) array, g a (B * n, Dg) array or None, and valid the
     (B, n) mask of real positions. Writes every position's h into ``out``
     ((B, n, H)), or with ``final`` only the state after the last step
     ((B, H)). With ``keep`` it caches what the backward needs and returns
-    the backward function, else None. A ``trace`` dict receives the gate
-    activations as (B, n, H) arrays.
+    the backward function, else None. ``acts`` is None or a
+    (B, n, len(p.gates), H) array that receives every step's activations.
     """
     batch, n = valid.shape
     hidden = p.hidden
@@ -202,7 +202,8 @@ def _direction(x, g, p, valid, reverse, out, final, keep, trace):
     shift = 1.0 - scale
     x3 = x.reshape(batch, n, -1)
     g3 = None if g is None else g.reshape(batch, n, -1)
-    acts = np.empty((batch, n, width)) if keep or trace is not None else None
+    if keep and acts is None:
+        acts = np.empty((batch, n, len(gates), hidden))
     seq = out if not final else (np.empty((batch, n, hidden)) if keep else None)
     if keep:
         cells = np.empty((batch, n, hidden))
@@ -235,17 +236,12 @@ def _direction(x, g, p, valid, reverse, out, final, keep, trace):
         if seq is not None:
             seq[:, t] = h
         if acts is not None:
-            acts[:, t] = pre
+            acts[:, t] = act
         if keep:
             cells[:, t] = c
             tanh_cells[:, t] = tc
     if final:
         out[...] = h
-    a = None if acts is None else acts.reshape(batch, n, len(gates), hidden)
-    if trace is not None:
-        for k, gate in enumerate(gates):
-            if gate in GATE_NAMES:
-                trace[gate] = a[:, :, k]
     if not keep:
         return None
 
@@ -258,12 +254,12 @@ def _direction(x, g, p, valid, reverse, out, final, keep, trace):
             before, after = after, before
         h_prev[:, before] = seq[:, after]
         c_prev[:, before] = cells[:, after]
-        gate = dict(zip(gates, np.moveaxis(a, 2, 0)))
+        gate = dict(zip(gates, np.moveaxis(acts, 2, 0)))
         # d pre-activation = (d c or d h) * partner * activation derivative;
         # the per-step loop below only supplies the d c / d h factor.
         partner = {"i": gate["c"], "c": gate["i"], "f": c_prev, "o": tanh_cells,
                    "m": gate.get("s"), "s": gate.get("m")}
-        dpre = np.empty_like(a)
+        dpre = np.empty_like(acts)
         for k, name in enumerate(gates):
             act = gate[name]
             slope = act * (1.0 - act) if name in _SIGMOID_GATES else 1.0 - act * act
@@ -301,15 +297,17 @@ def _direction(x, g, p, valid, reverse, out, final, keep, trace):
     return backward
 
 
-def bidirectional(x, g, lengths, fwd, bwd, final=False, trace_sink=None):
+def bidirectional(x, g, lengths, fwd, bwd, final=False, gates=None):
     """Both directions of the kernel over a padded sentence-major batch.
 
     x is (B * n_max, Dx) with row b * n_max + t holding sentence b, position
     t; g likewise for the graph-gated cell, None for the plain one. Returns
     (B * n_max, 2H), each row the forward and backward hidden states at that
     position, or with ``final`` the (B, 2H) states after each direction's
-    last step. When trace_sink is a dict, each direction's gate activations
-    are stored under "fwd" and "bwd" as dicts of (B, n_max, H) arrays.
+    last step. When ``gates`` is a dict, each of the cell's gates in
+    GATE_NAMES appends to ``gates[name]`` one (tokens, 2, H) array: its
+    activations at the batch's real positions in row order, direction 0
+    forward.
     """
     if (g is None) != (fwd.graph_dim is None):
         raise ContractError("a graph stream needs graph-gated parameters and vice versa")
@@ -322,49 +320,34 @@ def bidirectional(x, g, lengths, fwd, bwd, final=False, trace_sink=None):
     valid = np.arange(n_max)[None, :] < np.asarray(lengths)[:, None]
     out = np.empty((batch, 2 * hidden) if final else (batch, n_max, 2 * hidden))
     flat = out.reshape(-1, 2 * hidden)
-    halves = []
+    halves, acts = [], []
     for side, p in enumerate((fwd, bwd)):
         cols = slice(side * hidden, (side + 1) * hidden)
         inputs = (x,) + (() if g is None else (g,)) + tuple(p.parameters().values())
-        trace = None
-        if trace_sink is not None:
-            trace = trace_sink[("fwd", "bwd")[side]] = {}
+        act = None if gates is None else np.empty((batch, n_max, len(p.gates), hidden))
         backward_fn = _direction(
             x.data, None if g is None else g.data, p, valid, side == 1,
-            out[..., cols], final, ad.recording(inputs), trace)
+            out[..., cols], final, ad.recording(inputs), act)
         halves.append(ad.record(Tensor(flat[:, cols]), inputs, backward_fn))
+        acts.append(act)
+    if gates is not None:
+        for k, name in enumerate(fwd.gates):
+            if name in GATE_NAMES:
+                gates.setdefault(name, []).append(
+                    np.stack([a[valid, k] for a in acts], axis=1))
     return ad.record(Tensor(flat), halves,
                      lambda grad: (grad[:, :hidden], grad[:, hidden:]))
 
 
 def run_graph_bidirectional_batch(x_flat, g_flat, lengths, fwd, bwd,
-                                  trace_sink=None):
+                                  gates=None):
     """Bidirectional graph-gated pass over a padded batch: (B * n_max, 2H)."""
-    return bidirectional(x_flat, g_flat, lengths, fwd, bwd,
-                         trace_sink=trace_sink)
+    return bidirectional(x_flat, g_flat, lengths, fwd, bwd, gates=gates)
 
 
-def run_plain_bidirectional_batch(x_flat, lengths, fwd, bwd, trace_sink=None):
+def run_plain_bidirectional_batch(x_flat, lengths, fwd, bwd, gates=None):
     """Bidirectional plain-LSTM pass over a padded batch: (B * n_max, 2H)."""
-    return bidirectional(x_flat, None, lengths, fwd, bwd, trace_sink=trace_sink)
-
-
-class GateTrace:
-    """Recorded gate activations for one sentence.
-
-    arrays maps gate name -> (n, directions, H); direction 0 is forward.
-    """
-
-    def __init__(self, arrays):
-        self.arrays = arrays
-
-
-def extract_traces(trace_sink, lengths):
-    """Slice a batched trace sink into per-sentence GateTrace objects."""
-    fwd, bwd = trace_sink["fwd"], trace_sink["bwd"]
-    return [GateTrace({gate: np.stack([fwd[gate][b, :n], bwd[gate][b, :n]], axis=1)
-                       for gate in GATE_NAMES if gate in fwd})
-            for b, n in enumerate(lengths)]
+    return bidirectional(x_flat, None, lengths, fwd, bwd, gates=gates)
 
 
 def expand_cell_state(x_seq, g_seq, params, t, return_weights=False):

@@ -18,14 +18,14 @@ from syntag import gcn
 from syntag import recurrent as rc
 from syntag.gradcheck import check_model_variant
 from syntag.model import VARIANTS, SequenceTagger
-from syntag.evaluation import entity_f1
+from syntag.evaluation import entity_f1, gate_mean
 from syntag.synthetic import experiment_config, generate_corpus, generate_splits
 from syntag.training import (build_model, epoch_lr, load_checkpoint,
                              prepare_corpus, save_checkpoint, train)
 
 
-def _corpus_f1(model, prepared):
-    pred = model.predict(prepared)
+def _corpus_f1(model, prepared, gates=None):
+    pred = model.predict(prepared, gates=gates)
     return entity_f1([s.labels for s in prepared], pred).f1
 
 
@@ -46,13 +46,14 @@ def synthetic_grid():
             model = build_model(result.checkpoint)
             train_t = prepare_corpus(train_c, cfg)
             test_t = prepare_corpus(test_c, cfg)
+            gates = {}
             row = {
                 "train_f1": _corpus_f1(model, train_t),
-                "test_f1": _corpus_f1(model, test_t),
+                "test_f1": _corpus_f1(model, test_t, gates),
                 "best_epoch": result.checkpoint.best_epoch,
             }
             if kind != "bilstm":
-                row["mean_gate"] = model.mean_gate(test_t)
+                row["mean_gate"] = gate_mean(gates, "m")
             rows[kind, seed] = row
     rows["elapsed"] = time.perf_counter() - start
     return rows

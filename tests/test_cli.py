@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from syntag.cli import main
+from syntag.cli import _split_corpus, main
 from syntag.data import parse_corpus, validate_labels
 from syntag.model import ModelConfig, SequenceTagger
 from syntag.training import load_checkpoint
@@ -151,6 +151,28 @@ class TestExperimentCommands:
         assert code == 0
         assert "given" in out and "random" in out
         assert "delta given vs random:" in out
+
+    def test_compare_trees_decodes_the_test_split_once(self, workdir,
+                                                       monkeypatch, capsys):
+        _, _, test_c = _split_corpus(parse_corpus(workdir / "train.tsv"))
+        test_forms = {tuple(s.tokens) for s in test_c}
+        decoded = []
+        forward = SequenceTagger.forward_batch
+
+        def counting(self, sentences, *args, **kwargs):
+            decoded.extend(tuple(s.tokens) for s in sentences
+                           if tuple(s.tokens) in test_forms)
+            return forward(self, sentences, *args, **kwargs)
+
+        monkeypatch.setattr(SequenceTagger, "forward_batch", counting)
+        code = main(["compare-trees", "--config", str(workdir / "model.conf"),
+                     "--data", str(workdir / "train.tsv"),
+                     "--sources", "given,random"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert all("mean graph gate 0." in line for line in lines[:2])
+        # One pass per source yields both the F1 and the mean m-gate.
+        assert sorted(decoded) == sorted(2 * [tuple(s.tokens) for s in test_c])
 
     def test_ablate(self, workdir, capsys):
         code = main(["ablate", "--config", str(workdir / "model.conf"),

@@ -8,7 +8,6 @@ from syntag.errors import ContractError, DataIntegrityError, SchemeError
 from syntag.evaluation import (GATE_BUCKET_EDGES, entity_bucket, entity_f1,
                                gate_histogram, gate_mean, histogram_csv,
                                sentence_bucket)
-from syntag.recurrent import GateTrace
 
 
 def olabels(n):
@@ -177,45 +176,47 @@ class TestBuckets:
 
 
 class TestGateHistogram:
-    def trace_of(self, values):
-        arr = np.array(values, dtype=np.float64).reshape(-1, 1, 1)
-        return GateTrace({"m": arr})
+    def gates_of(self, *batches):
+        """A gates dict holding one m-gate array per batch of values."""
+        return {"m": [np.array(values, dtype=np.float64).reshape(-1, 1, 1)
+                      for values in batches]}
 
     def test_hand_bucketing(self):
-        trace = self.trace_of([0.0, 0.39, 0.4, 0.45, 0.55, 0.65, 0.75,
+        gates = self.gates_of([0.0, 0.39, 0.4, 0.45, 0.55, 0.65, 0.75,
                                0.85, 0.95, 1.0, 0.9])
-        counts = gate_histogram([trace], "m")
+        counts = gate_histogram(gates, "m")
         assert counts.tolist() == [2, 2, 1, 1, 1, 1, 3]
         assert counts.sum() == 11
 
     def test_additive_across_traces(self):
-        a = self.trace_of([0.1, 0.45])
-        b = self.trace_of([0.95])
-        both = gate_histogram([a, b], "m")
+        a, b = [0.1, 0.45], [0.95]
+        both = gate_histogram(self.gates_of(a, b), "m")
         assert np.array_equal(both,
-                              gate_histogram([a], "m")
-                              + gate_histogram([b], "m"))
+                              gate_histogram(self.gates_of(a), "m")
+                              + gate_histogram(self.gates_of(b), "m"))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DataIntegrityError):
-            gate_histogram([self.trace_of([0.5, 1.2])], "m")
+            gate_histogram(self.gates_of([0.5, 1.2]), "m")
         with pytest.raises(DataIntegrityError):
-            gate_histogram([self.trace_of([-0.1])], "m")
+            gate_histogram(self.gates_of([-0.1]), "m")
 
     def test_missing_gate_rejected(self):
         with pytest.raises(ContractError):
-            gate_histogram([self.trace_of([0.5])], "f")
+            gate_histogram(self.gates_of([0.5]), "f")
 
     def test_mean_over_all_traces(self):
-        traces = [self.trace_of([0.2, 0.4]), self.trace_of([0.9])]
-        assert gate_mean(traces, "m") == pytest.approx(0.5, abs=1e-15)
+        gates = self.gates_of([0.2, 0.4], [0.9])
+        assert gate_mean(gates, "m") == pytest.approx(0.5, abs=1e-15)
         with pytest.raises(ContractError):
-            gate_mean(traces, "f")
+            gate_mean(gates, "f")
         with pytest.raises(ContractError):
-            gate_mean([], "m")
+            gate_mean({}, "m")
+        with pytest.raises(ContractError):
+            gate_mean({"m": []}, "m")
 
     def test_csv_layout(self):
-        counts = gate_histogram([self.trace_of([0.3, 0.45, 0.95])], "m")
+        counts = gate_histogram(self.gates_of([0.3, 0.45, 0.95]), "m")
         csv = histogram_csv(counts)
         lines = csv.strip().split("\n")
         assert lines[0] == "bucket_low,bucket_high,count"

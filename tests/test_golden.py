@@ -63,16 +63,16 @@ def variant_numbers(variant):
         for gate in cell.feeds(stream):
             cols = cell.columns(stream, gate)
             out[f"grad/{owner}.{stream}_{gate}"] = p.grad[..., cols]
-    fw = model.forward_batch(batch, want_traces=True)
+    gates = {}
+    fw = model.forward_batch(batch, gates=gates)
     out["emissions"] = np.concatenate(
         [fw.emissions.data[b * fw.n_max: b * fw.n_max + n]
          for b, n in enumerate(fw.lengths)])
     ids = {name: i for i, name in enumerate(model.vocab.label_names)}
     out["pred"] = np.array([ids[lab] for labels in model.predict(batch)
                             for lab in labels])
-    for gate in sorted(fw.traces[0].arrays):
-        out[f"trace/{gate}"] = np.concatenate(
-            [tr.arrays[gate] for tr in fw.traces])
+    for gate, (arr,) in gates.items():
+        out[f"trace/{gate}"] = arr
     return out
 
 

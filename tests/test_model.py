@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from syntag.autodiff import Tape, backward
 from syntag.data import build_vocab
 from syntag.errors import ContractError, FormatError
+from syntag.evaluation import gate_histogram, gate_mean
 from syntag.gradcheck import check_model_variant, random_instances
 from syntag.model import ModelConfig, SequenceTagger, VARIANTS
 from syntag.synthetic import generate_corpus
@@ -288,34 +289,53 @@ class TestDecoding:
         corpus = corpus + corpus[:3]
         np.random.default_rng(0).shuffle(corpus)
         assert len({len(s) for s in corpus}) > 3
-        single = model.predict(corpus, batch_size=1)
+        one, three = {}, {}
+        single = model.predict(corpus, batch_size=1, gates=one)
         assert len({tuple(p) for p in single}) > 3
         assert model.predict(corpus, batch_size=3) == single
+        assert model.predict(corpus, batch_size=3, gates=three) == single
         assert [len(p) for p in single] == [len(s) for s in corpus]
+        # The gate statistics do not depend on how predict batches.
+        tokens = sum(len(s) for s in corpus)
+        assert sorted(one) == sorted(three) == ["f", "i", "m", "o"]
+        for gate in one:
+            for gates in (one, three):
+                assert sum(len(arr) for arr in gates[gate]) == tokens
+            assert abs(gate_mean(one, gate) - gate_mean(three, gate)) <= 1e-12
+            assert np.array_equal(gate_histogram(one, gate),
+                                  gate_histogram(three, gate))
 
     def test_forward_sentence_trace(self):
         model, sentences = make_model()
         s = sentences[0]
-        trace = model.forward_batch([s], want_traces=True).traces[0]
-        assert set(trace.arrays) == {"f", "i", "m", "o"}
+        gates = {}
+        model.forward_batch([s], gates=gates)
+        assert set(gates) == {"f", "i", "m", "o"}
         n = len(s)
-        assert trace.arrays["m"].shape == (n, 2, model.config.hidden)
-        for arr in trace.arrays.values():
+        assert [arr.shape for arr in gates["m"]] == [(n, 2, model.config.hidden)]
+        for (arr,) in gates.values():
             assert np.all(arr > 0.0) and np.all(arr < 1.0)
 
     def test_plain_trace_has_no_graph_gate(self):
         model, sentences = make_model(variant="bilstm-crf")
-        trace = model.forward_batch([sentences[0]], want_traces=True).traces[0]
-        assert "m" not in trace.arrays
-        assert set(trace.arrays) == {"f", "i", "o"}
+        gates = {}
+        model.predict(sentences, gates=gates)
+        assert "m" not in gates
+        assert set(gates) == {"f", "i", "o"}
+        with pytest.raises(ContractError):
+            gate_histogram(gates, "m")
 
     def test_mean_gate(self):
         model, sentences = make_model()
-        value = model.mean_gate(sentences)
+        gates = {}
+        model.predict(sentences, gates=gates)
+        value = gate_mean(gates, "m")
         assert 0.0 < value < 1.0
         plain, _ = make_model(variant="bilstm-crf")
+        plain_gates = {}
+        plain.predict(sentences, gates=plain_gates)
         with pytest.raises(ContractError):
-            plain.mean_gate(sentences)
+            gate_mean(plain_gates, "m")
 
 
 class TestDeterminism:

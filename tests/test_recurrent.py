@@ -225,15 +225,14 @@ class TestBidirectional:
         rng = np.random.default_rng(10)
         fwd = rc.LstmParams(3, 4, rng, graph_dim=2)
         bwd = rc.LstmParams(3, 4, rng, graph_dim=2)
-        sink = {}
+        gates = {}
         x = ad.constant(rng.uniform(-1, 1, (4, 3)))
         g = ad.constant(rng.uniform(-1, 1, (4, 2)))
-        rc.bidirectional(x, g, [4], fwd, bwd, trace_sink=sink)
-        traces = rc.extract_traces(sink, [4])
-        assert len(traces) == 1
-        tr = traces[0]
-        assert tr.arrays["m"].shape == (4, 2, 4)
-        assert 0.0 < tr.arrays["m"].mean() < 1.0
+        rc.bidirectional(x, g, [4], fwd, bwd, gates=gates)
+        assert sorted(gates) == ["f", "i", "m", "o"]
+        (m,) = gates["m"]
+        assert m.shape == (4, 2, 4)
+        assert 0.0 < m.mean() < 1.0
 
 
 class TestExpansionIdentity:
@@ -325,12 +324,12 @@ def _kernel_case(graph, seed):
     return fwd, bwd, _padded(rng, 3), g, rng
 
 
-def _run(x, g, fwd, bwd, lengths=LENGTHS, trace_sink=None):
+def _run(x, g, fwd, bwd, lengths=LENGTHS, gates=None):
     if g is None:
         return rc.run_plain_bidirectional_batch(x, lengths, fwd, bwd,
-                                                trace_sink=trace_sink)
+                                                gates=gates)
     return rc.run_graph_bidirectional_batch(x, g, lengths, fwd, bwd,
-                                            trace_sink=trace_sink)
+                                            gates=gates)
 
 
 def _step_chain(x, g, fwd, bwd, lengths=LENGTHS):
@@ -380,17 +379,19 @@ class TestKernel:
                 ad.backward(loss)
             return {name: t.grad.copy() for name, t in tracked.items()}
 
-        sink = {}
-        out = _run(x, g, fwd, bwd, trace_sink=sink)
+        gates = {}
+        out = _run(x, g, fwd, bwd, gates=gates)
         chain, chain_traces = _step_chain(x, g, fwd, bwd)
         for b, n in enumerate(LENGTHS):
             np.testing.assert_allclose(out.data[b * n_max: b * n_max + n],
                                        chain[b].data, rtol=0, atol=1e-14)
-        for got, want in zip(rc.extract_traces(sink, LENGTHS), chain_traces):
-            assert sorted(got.arrays) == sorted(want)
-            for gate in want:
-                np.testing.assert_allclose(got.arrays[gate], want[gate],
-                                           rtol=0, atol=1e-14)
+        # One (tokens, 2, H) array per gate: the sentences' real positions
+        # in row order.
+        for want in chain_traces:
+            assert sorted(gates) == sorted(want)
+        for gate, (got,) in gates.items():
+            want = np.concatenate([trace[gate] for trace in chain_traces])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
         def kernel_loss():
             out = _run(x, g, fwd, bwd)
