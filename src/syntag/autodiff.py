@@ -70,18 +70,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._tape = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def sum(self, axis=None, keepdims=False):
         return _sum(self, axis=axis, keepdims=keepdims)
 

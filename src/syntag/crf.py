@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, constant, matmul, record, take
+from .data import tag_may_follow
 from .errors import ContractError, DimensionError
 from .initializers import glorot, zeros
 
@@ -75,37 +76,19 @@ class CrfParams:
 
 
 def scheme_constraint_mask(label_names, scheme="bioes"):
-    """-inf mask for label bigrams that can never occur under a scheme."""
+    """-inf mask for the label bigrams ``data.tag_may_follow`` forbids."""
     L = len(label_names)
     full = L + 2
     mask = np.zeros((full, full))
     for i, a in enumerate(label_names):
         for j, b in enumerate(label_names):
-            if not _bigram_ok(a, b, scheme):
+            if not tag_may_follow(a, b, scheme):
                 mask[i, j] = -np.inf
-        if not _bigram_ok(None, a, scheme):
+        if not tag_may_follow(None, a, scheme):
             mask[L, i] = -np.inf  # START -> a
-        if not _bigram_ok(a, None, scheme):
+        if not tag_may_follow(a, None, scheme):
             mask[i, L + 1] = -np.inf  # a -> STOP
     return mask
-
-
-def _bigram_ok(prev, nxt, scheme):
-    """Whether label ``nxt`` may follow ``prev`` (None is START or STOP)."""
-    def kind(tag):
-        if tag is None or tag == "O":
-            return "O", None
-        return tag[0], tag[2:]
-
-    pk, pt = kind(prev)
-    nk, nt = kind(nxt)
-    if scheme == "bio":
-        if nk == "I":
-            return pk in ("B", "I") and pt == nt
-        return nk not in ("E", "S")
-    if pk in ("B", "I"):
-        return nk in ("I", "E") and nt == pt
-    return nk not in ("I", "E")
 
 
 def emissions_from_hidden(h, crf):

@@ -13,6 +13,7 @@ back, which is how scheme conversion and evaluation are implemented.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,61 +91,64 @@ def validate_tree(heads, sentence_index=None):
             node = heads[node] - 1
 
 
-def validate_labels(labels, scheme="bioes"):
-    """Raise SchemeError if ``labels`` is not valid under ``scheme``."""
-    if scheme not in SCHEMES:
-        raise ContractError(f"unknown label scheme {scheme!r}")
-    open_type = None  # entity type whose segment is awaiting continuation
-    for i, tag in enumerate(labels):
-        kind, etype = _split_tag(tag, i)
-        if scheme == "bio" and kind in ("E", "S"):
-            raise SchemeError(f"tag {tag!r} at position {i} not valid under bio")
-        if kind == "O":
-            if open_type is not None:
-                raise SchemeError(f"unterminated segment before position {i}")
-            continue
-        if kind == "B":
-            if open_type is not None:
-                raise SchemeError(f"unterminated segment before position {i}")
-            if scheme == "bioes":
-                open_type = etype
-            # bio: a B can be followed by anything, nothing to track
-        elif kind == "S":
-            if open_type is not None:
-                raise SchemeError(f"unterminated segment before position {i}")
-        elif kind == "I":
-            if scheme == "bio":
-                if i == 0 or not _continues(labels[i - 1], etype):
-                    raise SchemeError(f"dangling {tag!r} at position {i}")
-            else:
-                if open_type != etype:
-                    raise SchemeError(f"dangling {tag!r} at position {i}")
-        elif kind == "E":
-            if open_type != etype:
-                raise SchemeError(f"dangling {tag!r} at position {i}")
-            open_type = None
-    if open_type is not None:
-        raise SchemeError(f"segment open at end of sequence (type {open_type})")
+@lru_cache(maxsize=4096)
+def tag_may_follow(prev, nxt, scheme):
+    """Whether tag ``nxt`` may follow tag ``prev`` under ``scheme``.
+
+    ``None`` stands for START as ``prev`` and for STOP as ``nxt``. This is
+    the one statement of the BIO/BIOES grammar: validation, lenient span
+    decoding and the CRF constraint mask all read it. A malformed tag may
+    follow nothing and be followed by nothing. Tags come from a small
+    closed set, so the answers are cached.
+    """
+    pk, pt = _split_tag(prev)
+    nk, nt = _split_tag(nxt)
+    if pk is None or nk is None:
+        return False
+    if scheme == "bio":
+        if nk == "I":
+            return pk in ("B", "I") and pt == nt
+        return nk not in ("E", "S")
+    if pk in ("B", "I"):
+        return nk in ("I", "E") and nt == pt
+    return nk not in ("I", "E")
 
 
-def _split_tag(tag, position):
-    if tag == "O":
+def _split_tag(tag):
+    """(kind, type); ("O", None) for O, START and STOP, (None, None) if malformed."""
+    if tag is None or tag == "O":
         return "O", None
     if len(tag) > 2 and tag[1] == "-" and tag[0] in "BIES":
         return tag[0], tag[2:]
-    raise SchemeError(f"malformed tag {tag!r} at position {position}")
+    return None, None
 
 
-def _continues(prev_tag, etype):
-    return prev_tag in (f"B-{etype}", f"I-{etype}")
+def validate_labels(labels, scheme="bioes"):
+    """Raise SchemeError naming the position if ``labels`` is invalid under ``scheme``."""
+    if scheme not in SCHEMES:
+        raise ContractError(f"unknown label scheme {scheme!r}")
+    for i, (prev, tag) in enumerate(zip([None, *labels], [*labels, None])):
+        if tag_may_follow(prev, tag, scheme):
+            continue
+        if tag is None:
+            raise SchemeError(
+                f"segment open at end of sequence ({prev!r} at position {i - 1})")
+        if _split_tag(tag)[0] is None:
+            raise SchemeError(f"malformed tag {tag!r} at position {i}")
+        after = "the start" if prev is None else repr(prev)
+        raise SchemeError(
+            f"tag {tag!r} at position {i} may not follow {after} under {scheme}")
 
 
 def decode_label_spans(labels, scheme="bioes", drop_malformed=False):
     """Decode a tag sequence into (start, end, type) triples, end inclusive.
 
-    With drop_malformed=True the input may be arbitrary (model output):
-    segments that do not form a complete well-formed chunk are silently
-    skipped. With drop_malformed=False the sequence is validated first.
+    With drop_malformed=True the input may be arbitrary (model output): a
+    span starts at a B or S tag the scheme allows after START, runs through
+    the following I-/E- tags of its type that ``tag_may_follow`` allows, and
+    is kept only if STOP may follow its last tag; otherwise its first tag is
+    skipped and the scan resumes after it. With drop_malformed=False the
+    sequence is validated first.
     """
     if not drop_malformed:
         validate_labels(labels, scheme)
@@ -152,35 +156,19 @@ def decode_label_spans(labels, scheme="bioes", drop_malformed=False):
     n = len(labels)
     i = 0
     while i < n:
-        try:
-            kind, etype = _split_tag(labels[i], i)
-        except SchemeError:
-            i += 1  # unparseable tag; only reachable in drop mode
+        kind, etype = _split_tag(labels[i])
+        if kind not in ("B", "S") or not tag_may_follow(None, labels[i], scheme):
+            i += 1
             continue
-        if scheme == "bio":
-            if kind == "B":
-                j = i + 1
-                while j < n and labels[j] == f"I-{etype}":
-                    j += 1
-                spans.append((i, j - 1, etype))
-                i = j
-            else:
-                i += 1  # O, orphan I, or a tag outside the scheme
+        j = i + 1
+        while (j < n and labels[j] in (f"I-{etype}", f"E-{etype}")
+               and tag_may_follow(labels[j - 1], labels[j], scheme)):
+            j += 1
+        if tag_may_follow(labels[j - 1], None, scheme):
+            spans.append((i, j - 1, etype))
+            i = j
         else:
-            if kind == "S":
-                spans.append((i, i, etype))
-                i += 1
-            elif kind == "B":
-                j = i + 1
-                while j < n and labels[j] == f"I-{etype}":
-                    j += 1
-                if j < n and labels[j] == f"E-{etype}":
-                    spans.append((i, j, etype))
-                    i = j + 1
-                else:
-                    i += 1  # incomplete segment: drop its B, rescan after it
-            else:
-                i += 1  # O or orphan I/E
+            i += 1
     return spans
 
 

@@ -24,12 +24,11 @@ import numpy as np
 
 from . import crf as crf_mod
 from .autodiff import concat, constant, rows
-from .data import Vocabulary
+from .data import SCHEMES, Vocabulary
 from .embeddings import CharEncoder, EmbeddingTables, scatter_token_rows
 from .errors import ContractError, FormatError
 from .gcn import GcnParams, batch_normalized_adjacency, encode_batch
-from .recurrent import (LstmParams, run_graph_bidirectional_batch,
-                        run_plain_bidirectional_batch)
+from .recurrent import LstmParams, bidirectional
 
 VARIANTS = ("syn-lstm-crf", "bilstm-crf", "gcn-concat-bilstm-crf")
 DROPS = ("gcn-1-layer", "gcn-all", "deprel-embedding", "pos-embedding",
@@ -75,7 +74,7 @@ class ModelConfig:
             raise ContractError(f"unknown tree source {self.tree_source!r}")
         if self.tree_source == "predicted" and not self.tree_file:
             raise ContractError("tree_source 'predicted' needs tree_file")
-        if self.label_scheme not in ("bio", "bioes"):
+        if self.label_scheme not in SCHEMES:
             raise ContractError(f"unknown label scheme {self.label_scheme!r}")
         for name in ("hidden", "gcn_layers", "word_dim", "char_dim",
                      "char_hidden", "deprel_dim", "pos_dim", "batch_size"):
@@ -281,7 +280,7 @@ class SequenceTagger:
         x_parts = list(parts)
         if self.use_pos:
             x_parts.append(rows(self.tables.pos, pos_ids))
-        x = concat(x_parts, axis=1) if len(x_parts) > 1 else x_parts[0]
+        x = concat(x_parts, axis=1)
         if train:
             x = self._dropout(x, rng)
 
@@ -290,25 +289,18 @@ class SequenceTagger:
             if self.zero_graph:
                 g_flat = constant(np.zeros((total, self.config.hidden)))
             else:
-                g0 = concat(parts, axis=1) if len(parts) > 1 else parts[0]
+                g0 = concat(parts, axis=1)
                 if train:
                     g0 = self._dropout(g0, rng)
                 adj = batch_normalized_adjacency(
                     [s.heads for s in sentences], n_max)
                 g_flat = encode_batch(g0, adj, self.gcn,
                                       self_only=self.config.self_only_gcn)
+        if self.config.variant == "gcn-concat-bilstm-crf":
+            x, g_flat = concat([x, g_flat], axis=1), None
 
-        if self.config.variant == "syn-lstm-crf":
-            h = run_graph_bidirectional_batch(x, g_flat, lengths,
-                                              self.cell_fwd, self.cell_bwd,
-                                              gates=gates)
-        elif self.config.variant == "bilstm-crf":
-            h = run_plain_bidirectional_batch(x, lengths, self.cell_fwd,
-                                              self.cell_bwd, gates=gates)
-        else:
-            xg = concat([x, g_flat], axis=1)
-            h = run_plain_bidirectional_batch(xg, lengths, self.cell_fwd,
-                                              self.cell_bwd, gates=gates)
+        h = bidirectional(x, g_flat, lengths, self.cell_fwd, self.cell_bwd,
+                          gates=gates)
         if train:
             h = self._dropout(h, rng)
         emissions = crf_mod.emissions_from_hidden(h, self.crf)

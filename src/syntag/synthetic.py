@@ -21,7 +21,7 @@ import numpy as np
 from .data import Sentence
 from .errors import ContractError
 from .model import ModelConfig
-from .training import _prufer_decode
+from .training import orient, random_tree
 
 FILLERS = tuple(f"fill{i}" for i in range(12))
 POS_TAGS = ("N", "V", "A")
@@ -33,20 +33,6 @@ EZ_WORDS = {1: ("ezsolo",), 2: ("ezhead", "eztail"),
 
 MIN_LENGTH = 8
 MAX_LENGTH = 20
-
-
-def _random_backbone(m, rng):
-    """Uniform unrooted tree over m filler slots as an adjacency list."""
-    if m == 1:
-        return [[]]
-    if m == 2:
-        return [[1], [0]]
-    edges = _prufer_decode(rng.integers(0, m, size=m - 2), m)
-    adjacent = [[] for _ in range(m)]
-    for a, b in edges:
-        adjacent[a].append(b)
-        adjacent[b].append(a)
-    return adjacent
 
 
 def _distances_from(adjacent, start):
@@ -70,7 +56,7 @@ def generate_sentence(rng):
     color = "RED" if rng.random() < 0.5 else "BLU"
     other = "BLU" if color == "RED" else "RED"
 
-    backbone = _random_backbone(m, rng)
+    backbone = random_tree(m, rng)
     leaves = [v for v in range(m) if len(backbone[v]) == 1]
     bridge_parent = int(leaves[rng.integers(len(leaves))])
     dist = _distances_from(backbone, bridge_parent)
@@ -89,8 +75,7 @@ def generate_sentence(rng):
               distractor: anchor}
     for slot in easy:
         parent[slot] = int(rng.integers(m))
-    order = _orient_backbone(backbone, root)
-    parent.update(order)
+    parent.update(enumerate(orient(backbone, root)))  # root's -1 is unread
 
     words = {slot: FILLERS[rng.integers(len(FILLERS))] for slot in range(m)}
     words[bridge] = FILLERS[int(rng.integers(len(FILLERS)))]
@@ -137,20 +122,6 @@ def generate_sentence(rng):
             heads.append(int(position[parent[slot]]) + 1)
         out_labels.append(labels[slot])
     return Sentence(tokens, pos_tags, heads, deprels, out_labels)
-
-
-def _orient_backbone(adjacent, root):
-    parent = {}
-    seen = {root}
-    queue = [root]
-    while queue:
-        cur = queue.pop()
-        for nxt in adjacent[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                parent[nxt] = cur
-                queue.append(nxt)
-    return parent
 
 
 def generate_corpus(count, seed):

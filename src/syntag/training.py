@@ -10,7 +10,6 @@ import json
 import os
 import struct
 import zlib
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +90,29 @@ def _prufer_decode(seq, n):
     return edges
 
 
+def random_tree(n, rng):
+    """Uniform random unrooted labeled tree over n nodes as adjacency lists."""
+    edges = _prufer_decode(rng.integers(0, n, size=n - 2), n) if n > 1 else []
+    adjacent = [[] for _ in range(n)]
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    return adjacent
+
+
+def orient(adjacent, root):
+    """Parent of every node when the tree hangs from ``root`` (-1 for the root)."""
+    parent = [-1] * len(adjacent)
+    stack = [root]
+    while stack:
+        cur = stack.pop()
+        for nxt in adjacent[cur]:
+            if nxt != parent[cur]:  # in a tree, the only neighbour already seen
+                parent[nxt] = cur
+                stack.append(nxt)
+    return parent
+
+
 def random_tree_heads(n, rng):
     """Heads of a uniformly random rooted tree over n tokens.
 
@@ -103,28 +125,9 @@ def random_tree_heads(n, rng):
         raise ContractError("a tree needs at least one token")
     if n == 1:
         return [0]
-    if n == 2:
-        edges = [(0, 1)]
-    else:
-        seq = rng.integers(0, n, size=n - 2)
-        edges = _prufer_decode(seq, n)
+    adjacent = random_tree(n, rng)
     root = int(rng.integers(0, n))
-    adjacent = [[] for _ in range(n)]
-    for a, b in edges:
-        adjacent[a].append(b)
-        adjacent[b].append(a)
-    heads = [0] * n
-    seen = [False] * n
-    seen[root] = True
-    queue = deque([root])
-    while queue:
-        cur = queue.popleft()
-        for nxt in adjacent[cur]:
-            if not seen[nxt]:
-                seen[nxt] = True
-                heads[nxt] = cur + 1
-                queue.append(nxt)
-    return heads
+    return [p + 1 for p in orient(adjacent, root)]
 
 
 def randomize_trees(corpus, seed):

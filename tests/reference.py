@@ -1,10 +1,15 @@
-"""Single-sentence references for the batched GCN and CRF paths.
+"""Single-sentence references for the batched GCN and CRF paths, and a
+scheme-specific span decoder.
 
 The package only runs padded batches. These one-sentence versions build the
 adjacency with an explicit loop and run one layer at a time, so the tests
 can hold ``gcn.encode_batch`` and ``gcn.batch_normalized_adjacency`` against
 a second construction, and read the CRF's batched scores through a plain
 (lattice, transitions, labels) call.
+
+``decode_spans_lenient`` scans BIO and BIOES with a separate hand-written
+rule for each scheme, so the tests can hold ``data.decode_label_spans``,
+which reads the shared ``data.tag_may_follow`` grammar, against it.
 """
 
 from dataclasses import dataclass
@@ -73,3 +78,45 @@ def log_partition(lattice, trans):
 def nll(lattice, trans, gold):
     """Negative log likelihood of the gold sequence; non-negative."""
     return crf.nll_batch(lattice.emissions, [lattice.n], trans, [gold])
+
+
+def decode_spans_lenient(labels, scheme):
+    """(start, end, type) spans of arbitrary tags, dropping broken chunks.
+
+    bio: a span is a B followed by every I of its type. bioes: an S alone,
+    or a B, the I's of its type and an E of its type; a B without that E
+    is dropped and the scan resumes after it. Malformed tags are skipped.
+    """
+    spans = []
+    n = len(labels)
+    i = 0
+    while i < n:
+        tag = labels[i]
+        if not (len(tag) > 2 and tag[1] == "-" and tag[0] in "BIES"):
+            i += 1
+            continue
+        kind, etype = tag[0], tag[2:]
+        if scheme == "bio":
+            if kind == "B":
+                j = i + 1
+                while j < n and labels[j] == f"I-{etype}":
+                    j += 1
+                spans.append((i, j - 1, etype))
+                i = j
+            else:
+                i += 1
+        elif kind == "S":
+            spans.append((i, i, etype))
+            i += 1
+        elif kind == "B":
+            j = i + 1
+            while j < n and labels[j] == f"I-{etype}":
+                j += 1
+            if j < n and labels[j] == f"E-{etype}":
+                spans.append((i, j, etype))
+                i = j + 1
+            else:
+                i += 1
+        else:
+            i += 1
+    return spans

@@ -1,7 +1,10 @@
 """Tests for corpus parsing, tree validation, label schemes and vocabularies."""
 
+import itertools
+
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +16,9 @@ from syntag.errors import (
     SchemeError,
     TreeValidationError,
 )
+
+# O, every BIOES tag for two entity types, and one malformed tag.
+TAG_ALPHABET = ("O", "B-A", "I-A", "E-A", "S-A", "B-Z", "I-Z", "E-Z", "S-Z", "X")
 
 GOOD_BLOCK = (
     "1\tJohn\tNNP\t2\tnsubj\tS-PER\n"
@@ -226,6 +232,34 @@ class TestLabelSchemes:
     def test_encode_rejects_overlap(self):
         with pytest.raises(ContractError):
             data.encode_label_spans([(0, 2, "A"), (2, 3, "B")], 5)
+
+    @pytest.mark.parametrize("scheme", data.SCHEMES)
+    def test_valid_exactly_when_spans_round_trip_exhaustive(self, scheme):
+        accepted = 0
+        for labels in _all_tag_sequences(4):
+            try:
+                data.validate_labels(labels, scheme)
+                valid = True
+            except SchemeError as exc:
+                valid = False
+                assert "position" in str(exc)
+            spans = data.decode_label_spans(labels, scheme, drop_malformed=True)
+            round_trip = data.encode_label_spans(spans, len(labels), scheme)
+            assert valid == (round_trip == labels), labels
+            accepted += valid
+        assert accepted > 100
+
+    @pytest.mark.parametrize("scheme", data.SCHEMES)
+    def test_lenient_decode_matches_reference_exhaustive(self, scheme):
+        for labels in _all_tag_sequences(5):
+            got = data.decode_label_spans(labels, scheme, drop_malformed=True)
+            assert got == reference.decode_spans_lenient(labels, scheme), labels
+
+
+def _all_tag_sequences(max_len):
+    for n in range(max_len + 1):
+        for seq in itertools.product(TAG_ALPHABET, repeat=n):
+            yield list(seq)
 
 
 def _random_bio(rng, n, types):
