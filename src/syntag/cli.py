@@ -11,7 +11,7 @@ import sys
 
 from .data import (decode_label_spans, encode_label_spans, parse_corpus,
                    write_corpus)
-from .errors import NumericalError, SyntagError
+from .errors import ContractError, NumericalError, SyntagError
 from .evaluation import (ablation_run, compare_tree_sources, entity_f1,
                          gate_histogram, gate_mean, histogram_csv)
 from .gradcheck import check_model_variant
@@ -182,6 +182,12 @@ def _cmd_gradcheck(args):
 
 def _cmd_analyze_gates(args):
     ckpt, model, _, prepared = _load_for_data(args)
+    if args.gate not in model.cell_fwd.gates:
+        has = ", ".join(g for g in GATE_NAMES if g in model.cell_fwd.gates)
+        raise ContractError(f"gate {args.gate!r} exists only in syn-lstm-crf; this "
+                            f"{ckpt.config.variant} checkpoint has {has}")
+    if not prepared:
+        raise ContractError(f"{args.data} holds no sentences")
     gates = {}
     model.predict(prepared, gates=gates)
     counts = gate_histogram(gates, args.gate)

@@ -176,7 +176,7 @@ def entity_f1(gold_corpus, pred_corpus, scheme="bioes"):
 def _gate_arrays(gates, gate):
     """The per-batch arrays of ``gate`` in a ``predict(..., gates=...)`` dict."""
     if gate not in gates:
-        raise ContractError(f"trace has no gate {gate!r}")
+        raise ContractError(f"no activations of gate {gate!r} were collected")
     return gates[gate]
 
 

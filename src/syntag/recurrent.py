@@ -22,8 +22,10 @@ candidates): the token stream feeds the first 4H columns, the graph stream,
 when there is one, columns 2H-6H, and the previous hidden state all of them.
 Each timestep is three GEMMs into one (B, 6H) pre-activation (two into
 (B, 4H) for the plain cell), and sigmoid is ``0.5 * (1 + tanh(x / 2))``.
-Positions at or beyond a sentence's length carry the state forward, so
-padding never reaches a shorter sentence. The stored weights are in
+Batches are packed: rows are ranked longest first, so at step t only the
+sentences longer than t are live, in both directions, and every GEMM, gate
+and BPTT step runs on that prefix alone. Padded positions are never read or
+computed; their output rows are zero. The stored weights are in
 this layout already (``LstmParams``), so the kernel multiplies by them as
 they are and its backward returns each stacked gradient whole.
 
@@ -179,17 +181,20 @@ def _check_step_dims(x, expect, what):
         )
 
 
-def _direction(x, g, p, valid, reverse, out, final, keep, acts):
-    """One direction of the kernel over a padded sentence-major batch.
+def _direction(x, g, p, src, live, order, out, final, keep, acts):
+    """One direction of the kernel over a packed batch.
 
-    x is a (B * n, Dx) array, g a (B * n, Dg) array or None, and valid the
-    (B, n) mask of real positions. Writes every position's h into ``out``
-    ((B, n, H)), or with ``final`` only the state after the last step
-    ((B, H)). With ``keep`` it caches what the backward needs and returns
-    the backward function, else None. ``acts`` is None or a
-    (B, n, len(p.gates), H) array that receives every step's activations.
+    Rows are ranked longest first (``order[r]`` is the row of rank r) and
+    packed time-major: step t runs ranks ``[0, live[t])``, reading rows
+    ``src[a:a + live[t]]`` of x ((rows, Dx)) and g ((rows, Dg) or None),
+    where a is ``live[:t].sum()``. No other row of x or g is read. Writes
+    each packed h into ``out[src]`` ((rows, H)), or with ``final`` each
+    rank's state after its last step into ``out[order]`` ((B, H)), and
+    leaves the rest of ``out`` alone. With ``keep`` it caches what the
+    backward needs and returns the backward function, else None. ``acts``
+    is None or a (len(src), len(p.gates), H) array that receives every
+    step's activations in packed order.
     """
-    batch, n = valid.shape
     hidden = p.hidden
     gates = p.gates
     width = len(gates) * hidden
@@ -200,99 +205,96 @@ def _direction(x, g, p, valid, reverse, out, final, keep, acts):
     scale = np.repeat([0.5 if gate in _SIGMOID_GATES else 1.0 for gate in gates],
                       hidden)
     shift = 1.0 - scale
-    x3 = x.reshape(batch, n, -1)
-    g3 = None if g is None else g.reshape(batch, n, -1)
+    xp = x[src]
+    gp = None if g is None else g[src]
+    tokens = len(src)
+    ends = np.cumsum(live)
     if keep and acts is None:
-        acts = np.empty((batch, n, len(gates), hidden))
-    seq = out if not final else (np.empty((batch, n, hidden)) if keep else None)
+        acts = np.empty((tokens, len(gates), hidden))
+    seq = np.empty((tokens, hidden)) if keep or not final else None
     if keep:
-        cells = np.empty((batch, n, hidden))
-        tanh_cells = np.empty((batch, n, hidden))
-    complete = valid.all(axis=0)
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    for t in order:
-        pre = h @ w_h
-        pre[:, :tok] += x3[:, t] @ w_x
-        if g3 is not None:
-            pre[:, grf:] += g3[:, t] @ w_g
+        cells = np.empty((tokens, hidden))
+        tanh_cells = np.empty((tokens, hidden))
+    # Row r is rank r's state; a finished rank's row is never written again.
+    h = np.zeros((len(order), hidden))
+    c = np.zeros((len(order), hidden))
+    for t, k in enumerate(live):
+        span = slice(ends[t] - k, ends[t])
+        pre = h[:k] @ w_h
+        pre[:, :tok] += xp[span] @ w_x
+        if gp is not None:
+            pre[:, grf:] += gp[span] @ w_g
         pre += bias
         pre *= scale
         np.tanh(pre, out=pre)
         pre *= scale
         pre += shift
-        act = pre.reshape(batch, -1, hidden)  # act[:, k] is gate gates[k]
-        c_new = act[:, 2] * c + act[:, 0] * act[:, 1]
-        if g3 is not None:
+        act = pre.reshape(k, -1, hidden)  # act[:, j] is gate gates[j]
+        c_new = act[:, 2] * c[:k] + act[:, 0] * act[:, 1]
+        if gp is not None:
             c_new += act[:, 4] * act[:, 5]
         tc = np.tanh(c_new)
-        h_new = act[:, 3] * tc
-        if not complete[t]:
-            row = valid[:, t, None]
-            c_new = np.where(row, c_new, c)
-            h_new = np.where(row, h_new, h)
-        h, c = h_new, c_new
+        c[:k] = c_new
+        h[:k] = act[:, 3] * tc
         if seq is not None:
-            seq[:, t] = h
+            seq[span] = h[:k]
         if acts is not None:
-            acts[:, t] = act
+            acts[span] = act
         if keep:
-            cells[:, t] = c
-            tanh_cells[:, t] = tc
+            cells[span] = c_new
+            tanh_cells[span] = tc
     if final:
-        out[...] = h
+        out[order] = h
+    else:
+        out[src] = seq
     if not keep:
         return None
 
     def backward(grad):
-        # States before each step, in processing order (zero before the first).
-        h_prev = np.zeros((batch, n, hidden))
-        c_prev = np.zeros((batch, n, hidden))
-        before, after = (slice(1, None), slice(None, -1))
-        if reverse:
-            before, after = after, before
-        h_prev[:, before] = seq[:, after]
-        c_prev[:, before] = cells[:, after]
-        gate = dict(zip(gates, np.moveaxis(acts, 2, 0)))
+        # A packed row's state before its step is its rank's row one step
+        # earlier; the first step starts from zero.
+        prev = np.arange(live[0], tokens) - np.repeat(live[:-1], live[1:])
+        c_prev = np.zeros((tokens, hidden))
+        c_prev[live[0]:] = cells[prev]
+        gate = dict(zip(gates, np.moveaxis(acts, 1, 0)))
         # d pre-activation = (d c or d h) * partner * activation derivative;
         # the per-step loop below only supplies the d c / d h factor.
         partner = {"i": gate["c"], "c": gate["i"], "f": c_prev, "o": tanh_cells,
                    "m": gate.get("s"), "s": gate.get("m")}
         dpre = np.empty_like(acts)
-        for k, name in enumerate(gates):
+        for j, name in enumerate(gates):
             act = gate[name]
             slope = act * (1.0 - act) if name in _SIGMOID_GATES else 1.0 - act * act
-            np.multiply(partner[name], slope, out=dpre[:, :, k])
-        mask = valid[:, :, None]
-        dpre *= mask[..., None]
-        gain = gate["o"] * (1.0 - tanh_cells * tanh_cells) * mask  # dh -> dc
-        forget = np.where(mask, gate["f"], 1.0)  # padded steps pass dc through
-        seq_grad = None if final else grad.reshape(batch, n, hidden)
-        dh = grad.copy() if final else np.zeros((batch, hidden))
-        dc = np.zeros((batch, hidden))
+            np.multiply(partner[name], slope, out=dpre[:, j])
+        gain = gate["o"] * (1.0 - tanh_cells * tanh_cells)  # dh -> dc
+        seq_grad = None if final else grad[src]
+        # Row r carries rank r's d h and d c; a rank joins at its last step.
+        dh = grad[order] if final else np.zeros((len(order), hidden))
+        dc = np.zeros((len(order), hidden))
         w_h_t = w_h.T
-        for t in reversed(order):
+        for t in range(len(live) - 1, -1, -1):
+            k = live[t]
+            span = slice(ends[t] - k, ends[t])
             if seq_grad is not None:
-                dh = dh + seq_grad[:, t]
-            dc = dc + dh * gain[:, t]
-            step = dpre[:, t]
-            step[:, 3] *= dh
-            step[:, :3] *= dc[:, None]
-            step[:, 4:] *= dc[:, None]
-            dc = dc * forget[:, t]
-            dh_prev = step.reshape(batch, width) @ w_h_t
-            if not complete[t]:
-                dh_prev += np.where(valid[:, t, None], 0.0, dh)
-            dh = dh_prev
-        d2 = dpre.reshape(batch * n, width)
+                dh[:k] += seq_grad[span]
+            dc[:k] += dh[:k] * gain[span]
+            step = dpre[span]
+            step[:, 3] *= dh[:k]
+            step[:, :3] *= dc[:k, None]
+            step[:, 4:] *= dc[:k, None]
+            dc[:k] *= gate["f"][span]
+            dh[:k] = step.reshape(k, width) @ w_h_t
+        d2 = dpre.reshape(tokens, width)
         d_tok = d2[:, :tok]
-        dx, dw_x = d_tok @ w_x.T, x.T @ d_tok
-        dw_h, db = h_prev.reshape(batch * n, hidden).T @ d2, d2.sum(axis=0)
+        dx = np.zeros(x.shape)
+        dx[src] = d_tok @ w_x.T
+        dw_h, db = seq[prev].T @ d2[live[0]:], d2.sum(axis=0)
         if g is None:
-            return dx, dw_x, dw_h, db
+            return dx, xp.T @ d_tok, dw_h, db
         d_grf = d2[:, grf:]
-        return dx, d_grf @ w_g.T, dw_x, g.T @ d_grf, dw_h, db
+        dg = np.zeros(g.shape)
+        dg[src] = d_grf @ w_g.T
+        return dx, dg, xp.T @ d_tok, gp.T @ d_grf, dw_h, db
 
     return backward
 
@@ -304,37 +306,50 @@ def bidirectional(x, g, lengths, fwd, bwd, final=False, gates=None):
     t; g likewise for the graph-gated cell, None for the plain one. Returns
     (B * n_max, 2H), each row the forward and backward hidden states at that
     position, or with ``final`` the (B, 2H) states after each direction's
-    last step. When ``gates`` is a dict, each of the cell's gates in
-    GATE_NAMES appends to ``gates[name]`` one (tokens, 2, H) array: its
-    activations at the batch's real positions in row order, direction 0
-    forward.
+    last step. Padded rows (t >= lengths[b]) are never read: a NaN there
+    changes nothing, their output rows are exact zeros in both directions,
+    and their input rows and output rows get zero gradient. When ``gates``
+    is a dict, each of the cell's gates in GATE_NAMES appends to
+    ``gates[name]`` one (tokens, 2, H) array: its activations at the batch's
+    real positions in row order, direction 0 forward.
     """
     if (g is None) != (fwd.graph_dim is None):
         raise ContractError("a graph stream needs graph-gated parameters and vice versa")
     _check_step_dims(x, fwd.input_dim, "token input")
     if g is not None:
         _check_step_dims(g, fwd.graph_dim, "graph input")
+    lengths = np.asarray(lengths)
     batch = len(lengths)
     n_max = x.data.shape[0] // batch
     hidden = fwd.hidden
-    valid = np.arange(n_max)[None, :] < np.asarray(lengths)[:, None]
-    out = np.empty((batch, 2 * hidden) if final else (batch, n_max, 2 * hidden))
-    flat = out.reshape(-1, 2 * hidden)
+    # Rank rows longest first; then step t runs the live[t] longest rows in
+    # both directions. sent and step give each packed row's sentence and step.
+    order = np.argsort(-lengths, kind="stable")
+    live = np.count_nonzero(lengths[:, None] > np.arange(n_max), axis=0)
+    step = np.repeat(np.arange(n_max), live)
+    sent = order[np.arange(len(step)) - (np.cumsum(live) - live)[step]]
+    # The forward direction reads position t at step t, the reverse one
+    # starts each sentence at its own last position.
+    positions = (step, lengths[sent] - 1 - step)
+    flat = np.zeros((batch if final else batch * n_max, 2 * hidden))
     halves, acts = [], []
     for side, p in enumerate((fwd, bwd)):
         cols = slice(side * hidden, (side + 1) * hidden)
         inputs = (x,) + (() if g is None else (g,)) + tuple(p.parameters().values())
-        act = None if gates is None else np.empty((batch, n_max, len(p.gates), hidden))
+        act = None if gates is None else np.empty((len(step), len(p.gates), hidden))
         backward_fn = _direction(
-            x.data, None if g is None else g.data, p, valid, side == 1,
-            out[..., cols], final, ad.recording(inputs), act)
+            x.data, None if g is None else g.data, p, sent * n_max + positions[side],
+            live, order, flat[:, cols], final, ad.recording(inputs), act)
         halves.append(ad.record(Tensor(flat[:, cols]), inputs, backward_fn))
         acts.append(act)
     if gates is not None:
+        starts = np.cumsum(lengths) - lengths
         for k, name in enumerate(fwd.gates):
             if name in GATE_NAMES:
-                gates.setdefault(name, []).append(
-                    np.stack([a[valid, k] for a in acts], axis=1))
+                stacked = np.empty((len(step), 2, hidden))
+                for side, act in enumerate(acts):
+                    stacked[starts[sent] + positions[side], side] = act[:, k]
+                gates.setdefault(name, []).append(stacked)
     return ad.record(Tensor(flat), halves,
                      lambda grad: (grad[:, :hidden], grad[:, hidden:]))
 

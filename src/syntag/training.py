@@ -5,8 +5,8 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import heapq
-import io
 import json
+import math
 import os
 import struct
 import zlib
@@ -277,48 +277,90 @@ def _read_exact(fh, count, what):
     return data
 
 
+class _ChecksumReader:
+    """Reads a checkpoint's body from the file, folding every byte into a CRC32.
+
+    Every read is checked against the bytes left in the file first, so a
+    corrupt size field cannot ask for more memory than the file holds.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.left = os.fstat(fh.fileno()).st_size - fh.tell()
+        self.crc = 0
+
+    def need(self, count, what):
+        if count > self.left:
+            raise FormatError(f"checkpoint truncated while reading {what}")
+
+    def read(self, count, what):
+        self.need(count, what)
+        return self.read_into(bytearray(count), what)
+
+    def read_into(self, buf, what):
+        view = memoryview(buf).cast("B")
+        if self.fh.readinto(view) != len(view):
+            raise FormatError(f"checkpoint truncated while reading {what}")
+        self.crc = zlib.crc32(view, self.crc)
+        self.left -= len(view)
+        return buf
+
+    def check(self, stored):
+        """Fold in the rest of the file and compare the CRC with ``stored``."""
+        while chunk := self.fh.read(1 << 16):
+            self.crc = zlib.crc32(chunk, self.crc)
+        if self.crc != stored:
+            raise FormatError(f"checkpoint checksum mismatch (stored {stored:08x}, "
+                              f"computed {self.crc:08x}): the file is damaged or truncated")
+
+
 def load_checkpoint(path):
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    Tensors are read straight from the file into their arrays. When the
+    body fails to parse, the rest of the file is read and its checksum
+    checked first, so a damaged file raises a checksum mismatch.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    with io.BytesIO(raw) as fh:
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise FormatError("not a checkpoint file (bad magic)")
         (version,) = struct.unpack("<H", _read_exact(fh, 2, "version"))
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
         (stored,) = struct.unpack("<I", _read_exact(fh, 4, "checksum"))
-        crc = zlib.crc32(memoryview(raw)[fh.tell():])
-        if crc != stored:
-            raise FormatError(f"checkpoint checksum mismatch (stored {stored:08x}, "
-                              f"computed {crc:08x}): the file is damaged or truncated")
-        (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8, "metadata size"))
+        body = _ChecksumReader(fh)
         try:
-            meta = json.loads(_read_exact(fh, meta_len, "metadata"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"bad checkpoint metadata: {exc}") from None
-        try:
-            config = ModelConfig(**meta["config"])
-            vocab = Vocabulary.from_dict(meta["vocab"])
-            best_f1 = float(meta["best_dev_f1"])
-            best_epoch = int(meta["best_epoch"])
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"bad checkpoint metadata: {exc}") from None
-        params = {}
-        while True:
-            head = fh.read(2)
-            if len(head) == 0:
-                break
-            if len(head) != 2:
-                raise FormatError("checkpoint truncated while reading a record")
-            (name_len,) = struct.unpack("<H", head)
-            name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
-            (rank,) = struct.unpack("<H", _read_exact(fh, 2, f"rank of {name}"))
-            shape = struct.unpack(
-                f"<{rank}Q", _read_exact(fh, 8 * rank, f"shape of {name}"))
-            data = np.empty(shape, dtype="<f8")
-            if fh.readinto(data) != data.nbytes:
-                raise FormatError(f"checkpoint truncated while reading data of {name}")
-            params[name] = data.astype(np.float64, copy=False)
+            ckpt = _parse_checkpoint_body(body)
+        except Exception:
+            body.check(stored)
+            raise
+        body.check(stored)
+    return ckpt
+
+
+def _parse_checkpoint_body(body):
+    (meta_len,) = struct.unpack("<Q", body.read(8, "metadata size"))
+    try:
+        meta = json.loads(body.read(meta_len, "metadata"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"bad checkpoint metadata: {exc}") from None
+    try:
+        config = ModelConfig(**meta["config"])
+        vocab = Vocabulary.from_dict(meta["vocab"])
+        best_f1 = float(meta["best_dev_f1"])
+        best_epoch = int(meta["best_epoch"])
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"bad checkpoint metadata: {exc}") from None
+    params = {}
+    while body.left:
+        (name_len,) = struct.unpack("<H", body.read(2, "a record"))
+        name = body.read(name_len, "tensor name").decode("utf-8")
+        (rank,) = struct.unpack("<H", body.read(2, f"rank of {name}"))
+        shape = struct.unpack(f"<{rank}Q", body.read(8 * rank, f"shape of {name}"))
+        body.need(8 * math.prod(shape), f"data of {name}")
+        data = np.empty(shape, dtype="<f8")
+        body.read_into(data.reshape(-1), f"data of {name}")
+        params[name] = data.astype(np.float64, copy=False)
     return Checkpoint(config, vocab, params, best_f1, best_epoch)
 
 
@@ -347,7 +389,7 @@ def build_model(ckpt):
                 f"tensor {name!r} has shape {arr.shape}, model expects "
                 f"{named[name].data.shape}"
             )
-        named[name].data = arr.copy()
+        np.copyto(named[name].data, arr)
     return model
 
 

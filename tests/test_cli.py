@@ -142,6 +142,33 @@ class TestAnalyzeGates:
         assert sum(calls) == sentences
 
 
+    def test_plain_checkpoint_names_its_gates(self, workdir, tmp_path, capsys):
+        config = ModelConfig.from_file(workdir / "model.conf")
+        config.variant, config.epochs = "bilstm-crf", 1
+        (tmp_path / "plain.conf").write_text(config.to_text())
+        assert main(["train", "--config", str(tmp_path / "plain.conf"),
+                     "--train", str(workdir / "dev.tsv"),
+                     "--dev", str(workdir / "dev.tsv"),
+                     "--out", str(tmp_path / "plain.ckpt")]) == 0
+        capsys.readouterr()
+        code = main(["analyze-gates", "--model", str(tmp_path / "plain.ckpt"),
+                     "--data", str(workdir / "dev.tsv"),
+                     "--out", str(tmp_path / "gates.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert ("gate 'm' exists only in syn-lstm-crf; this bilstm-crf "
+                "checkpoint has f, i, o") in err
+        assert not (tmp_path / "gates.csv").exists()
+
+    def test_empty_corpus_says_so(self, workdir, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        code = main(["analyze-gates", "--model", str(workdir / "model.ckpt"),
+                     "--data", str(empty), "--out", str(tmp_path / "gates.csv")])
+        assert code == 2
+        assert "holds no sentences" in capsys.readouterr().err
+
+
 class TestExperimentCommands:
     def test_compare_trees(self, workdir, capsys):
         code = main(["compare-trees", "--config", str(workdir / "model.conf"),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syntag import autodiff as ad
 from syntag import recurrent as rc
@@ -311,17 +313,17 @@ def _padded(rng, dim, lengths=LENGTHS):
                      requires_grad=True)
 
 
-def _kernel_case(graph, seed):
+def _kernel_case(graph, seed, lengths=LENGTHS):
     rng = np.random.default_rng(seed)
     if graph:
         fwd = rc.LstmParams(3, 4, rng, graph_dim=2)
         bwd = rc.LstmParams(3, 4, rng, graph_dim=2)
-        g = _padded(rng, 2)
+        g = _padded(rng, 2, lengths)
     else:
         fwd = rc.LstmParams(3, 4, rng)
         bwd = rc.LstmParams(3, 4, rng)
         g = None
-    return fwd, bwd, _padded(rng, 3), g, rng
+    return fwd, bwd, _padded(rng, 3, lengths), g, rng
 
 
 def _run(x, g, fwd, bwd, lengths=LENGTHS, gates=None):
@@ -362,57 +364,92 @@ def _step_chain(x, g, fwd, bwd, lengths=LENGTHS):
     return outputs, traces
 
 
+def _tracked(fwd, bwd, x, g):
+    params = {f"{side}.{name}": t for side, p in (("fwd", fwd), ("bwd", bwd))
+              for name, t in p.parameters().items()}
+    return dict(params, x=x, **({} if g is None else {"g": g}))
+
+
+def _grads(tracked, loss_fn):
+    ad.clear_grads(tracked)
+    with ad.Tape():
+        loss = loss_fn()
+        ad.backward(loss)
+    return {name: t.grad.copy() for name, t in tracked.items()}
+
+
+def _check_against_chain(graph, lengths, seed):
+    """The kernel's outputs, gates, final states and gradients against
+    ``_step_chain``: values to 1e-14, gradients to 1e-13."""
+    fwd, bwd, x, g, rng = _kernel_case(graph, seed, lengths)
+    n_max, hidden = max(lengths), fwd.hidden
+    weights = [rng.normal(size=(n, 2 * hidden)) for n in lengths]
+    final_weights = rng.normal(size=(len(lengths), 2 * hidden))
+    tracked = _tracked(fwd, bwd, x, g)
+
+    gates = {}
+    out = _run(x, g, fwd, bwd, lengths, gates=gates)
+    final = rc.bidirectional(x, g, lengths, fwd, bwd, final=True)
+    chain, chain_traces = _step_chain(x, g, fwd, bwd, lengths)
+    for b, n in enumerate(lengths):
+        np.testing.assert_allclose(out.data[b * n_max: b * n_max + n],
+                                   chain[b].data, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(final.data[b, :hidden], chain[b].data[n - 1, :hidden],
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(final.data[b, hidden:], chain[b].data[0, hidden:],
+                                   rtol=0, atol=1e-14)
+    # One (tokens, 2, H) array per gate: the sentences' real positions
+    # in row order.
+    for want in chain_traces:
+        assert sorted(gates) == sorted(want)
+    for gate, (got,) in gates.items():
+        want = np.concatenate([trace[gate] for trace in chain_traces])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def kernel_loss():
+        out = _run(x, g, fwd, bwd, lengths)
+        final = rc.bidirectional(x, g, lengths, fwd, bwd, final=True)
+        return sum((ad.rows(out, np.arange(b * n_max, b * n_max + n))
+                    * ad.constant(w)).sum()
+                   for b, (n, w) in enumerate(zip(lengths, weights))) + (
+            final * ad.constant(final_weights)).sum()
+
+    # The final states are the chain's row n - 1 (forward) and row 0
+    # (reverse), so their weights fold into those rows.
+    chain_weights = [w.copy() for w in weights]
+    for w, n, fw in zip(chain_weights, lengths, final_weights):
+        w[n - 1, :hidden] += fw[:hidden]
+        w[0, hidden:] += fw[hidden:]
+
+    def chain_loss():
+        outs, _ = _step_chain(x, g, fwd, bwd, lengths)
+        return sum((o * ad.constant(w)).sum() for o, w in zip(outs, chain_weights))
+
+    got, want = _grads(tracked, kernel_loss), _grads(tracked, chain_loss)
+    for name in tracked:
+        np.testing.assert_allclose(got[name], want[name], rtol=0,
+                                   atol=1e-13, err_msg=name)
+
+
 class TestKernel:
     @pytest.mark.parametrize("graph", [True, False], ids=["graph", "plain"])
     def test_matches_chain_of_reference_steps(self, graph):
-        fwd, bwd, x, g, rng = _kernel_case(graph, seed=21)
-        n_max = max(LENGTHS)
-        weights = [rng.normal(size=(n, 8)) for n in LENGTHS]
-        params = {f"{side}.{name}": t for side, p in (("fwd", fwd), ("bwd", bwd))
-                  for name, t in p.parameters().items()}
-        tracked = dict(params, x=x, **({} if g is None else {"g": g}))
+        _check_against_chain(graph, LENGTHS, seed=21)
 
-        def grads(loss_fn):
-            ad.clear_grads(tracked)
-            with ad.Tape():
-                loss = loss_fn()
-                ad.backward(loss)
-            return {name: t.grad.copy() for name, t in tracked.items()}
-
-        gates = {}
-        out = _run(x, g, fwd, bwd, gates=gates)
-        chain, chain_traces = _step_chain(x, g, fwd, bwd)
-        for b, n in enumerate(LENGTHS):
-            np.testing.assert_allclose(out.data[b * n_max: b * n_max + n],
-                                       chain[b].data, rtol=0, atol=1e-14)
-        # One (tokens, 2, H) array per gate: the sentences' real positions
-        # in row order.
-        for want in chain_traces:
-            assert sorted(gates) == sorted(want)
-        for gate, (got,) in gates.items():
-            want = np.concatenate([trace[gate] for trace in chain_traces])
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-
-        def kernel_loss():
-            out = _run(x, g, fwd, bwd)
-            return sum((ad.rows(out, np.arange(b * n_max, b * n_max + n))
-                        * ad.constant(w)).sum()
-                       for b, (n, w) in enumerate(zip(LENGTHS, weights)))
-
-        def chain_loss():
-            outs, _ = _step_chain(x, g, fwd, bwd)
-            return sum((o * ad.constant(w)).sum() for o, w in zip(outs, weights))
-
-        got, want = grads(kernel_loss), grads(chain_loss)
-        for name in tracked:
-            np.testing.assert_allclose(got[name], want[name], rtol=0,
-                                       atol=1e-13, err_msg=name)
+    @settings(max_examples=30, deadline=None)
+    @given(graph=st.booleans(), seed=st.integers(0, 2**16),
+           lengths=st.one_of(
+               st.lists(st.integers(1, 5), min_size=1, max_size=5),
+               st.tuples(st.integers(1, 5), st.integers(1, 5)).map(
+                   lambda nb: [nb[0]] * nb[1])))
+    def test_packed_kernel_matches_chain_on_any_lengths(self, graph, seed, lengths):
+        _check_against_chain(graph, lengths, seed)
 
     @pytest.mark.parametrize("graph", [True, False], ids=["graph", "plain"])
     def test_padded_batch_gradients_match_finite_differences(self, graph):
         fwd, bwd, x, g, rng = _kernel_case(graph, seed=22)
-        # Padded rows carry weight too: the forward direction copies the last
-        # real state there, so their gradient must reach that state.
+        # Padded rows carry weight too: they are constant zeros, so their
+        # weight must reach nothing.
         weights = ad.constant(rng.normal(size=(x.data.shape[0], 8)))
         params = {f"{side}.{name}": t for side, p in (("fwd", fwd), ("bwd", bwd))
                   for name, t in p.parameters().items()}
@@ -425,6 +462,41 @@ class TestKernel:
 
         report = check_gradients(loss, params, step=1e-5, floor=1e-3)
         assert report.max_rel_err < 1e-4, report.per_param
+
+    @pytest.mark.parametrize("graph", [True, False], ids=["graph", "plain"])
+    def test_nan_in_padded_rows_reaches_nothing(self, graph):
+        fwd, bwd, x, g, rng = _kernel_case(graph, seed=27)
+        n_max = max(LENGTHS)
+        padded = np.arange(n_max)[None, :] >= np.array(LENGTHS)[:, None]
+        for t in (x, g) if g is not None else (x,):
+            t.data[padded.ravel()] = np.nan
+        tracked = _tracked(fwd, bwd, x, g)
+        weights = ad.constant(rng.normal(size=(x.data.shape[0], 8)))
+        final_weights = ad.constant(rng.normal(size=(len(LENGTHS), 8)))
+        gates = {}
+        assert np.isfinite(_run(x, g, fwd, bwd, gates=gates).data).all()
+        assert all(np.isfinite(a).all() for arrays in gates.values() for a in arrays)
+
+        def loss():
+            final = rc.bidirectional(x, g, LENGTHS, fwd, bwd, final=True)
+            return (_run(x, g, fwd, bwd) * weights).sum() + (final * final_weights).sum()
+
+        for name, grad in _grads(tracked, loss).items():
+            assert np.isfinite(grad).all(), name
+
+    @pytest.mark.parametrize("graph", [True, False], ids=["graph", "plain"])
+    def test_padded_output_rows_are_zero_with_zero_gradient(self, graph):
+        fwd, bwd, x, g, rng = _kernel_case(graph, seed=28)
+        padded = (np.arange(max(LENGTHS))[None, :]
+                  >= np.array(LENGTHS)[:, None]).ravel()
+        assert padded.any()
+        np.testing.assert_array_equal(_run(x, g, fwd, bwd).data[padded], 0.0)
+        weights = rng.normal(size=(x.data.shape[0], 8)) * padded[:, None]
+        tracked = _tracked(fwd, bwd, x, g)
+        grads = _grads(tracked, lambda: (_run(x, g, fwd, bwd)
+                                         * ad.constant(weights)).sum())
+        for name, grad in grads.items():
+            np.testing.assert_array_equal(grad, 0.0, err_msg=name)
 
     def test_final_state_gradients_match_finite_differences(self):
         fwd, bwd, x, _, rng = _kernel_case(False, seed=23)

@@ -1,5 +1,7 @@
 """Optimizer, training loop, checkpoint, and tree randomization tests."""
 
+import struct
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -444,6 +446,36 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="checksum"):
             load_checkpoint(path)
+
+    def test_flipped_metadata_byte_rejected_by_checksum(self, tmp_path):
+        result, _ = self.run_small()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(result.checkpoint, path)
+        raw = bytearray(path.read_bytes())
+        raw[18] ^= 0xFF  # the metadata's opening brace: the JSON no longer parses
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="checksum"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("fix_crc", [False, True], ids=["raw", "crc-fixed"])
+    def test_huge_size_fields_are_rejected_before_allocating(self, tmp_path, fix_crc):
+        result, _ = self.run_small()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(result.checkpoint, path)
+        raw = bytearray(path.read_bytes())
+        (meta_len,) = struct.unpack_from("<Q", raw, 10)
+        record = 18 + meta_len
+        (name_len,) = struct.unpack_from("<H", raw, record)
+        shape_at = record + 2 + name_len + 2  # the first dimension
+        for offset in (10, shape_at):  # the metadata size, then a shape
+            bad = bytearray(raw)
+            struct.pack_into("<Q", bad, offset, 2**40)
+            if fix_crc:
+                struct.pack_into("<I", bad, 6, zlib.crc32(bad[10:]))
+            path.write_bytes(bytes(bad))
+            with pytest.raises(FormatError,
+                               match="truncated" if fix_crc else "checksum"):
+                load_checkpoint(path)
 
     def test_truncation_detected(self, tmp_path):
         result, _ = self.run_small()
