@@ -416,7 +416,9 @@ def _sum(a, axis=None, keepdims=False):
 def rows(a, idx):
     """Gather rows of a 2-D tensor: out[i] = a[idx[i]].
 
-    The backward pass scatter-adds, so repeated indices accumulate.
+    The backward pass sums the gradient rows of each index, so repeated
+    indices accumulate: a stable sort groups equal indices and one
+    ``np.add.reduceat`` sums each run.
     """
     if a.data.ndim != 2:
         raise DimensionError(f"rows expects a 2-D tensor, got shape {a.data.shape}")
@@ -428,11 +430,19 @@ def rows(a, idx):
             f"rows: index out of range for tensor with {a.data.shape[0]} rows"
         )
     out = Tensor(a.data[idx])
+    if not recording((a,)):
+        return out
     in_shape = a.data.shape
+    # Sorted here rather than in the backward pass: sorting there raised
+    # train-paper's peak RSS by 1.6 MB.
+    order = np.argsort(idx, kind="stable")
+    sorted_idx = idx[order]
+    starts = np.flatnonzero(np.diff(sorted_idx, prepend=-1))
+    targets = sorted_idx[starts]
 
     def bk(g):
         da = np.zeros(in_shape, dtype=np.float64)
-        np.add.at(da, idx, g)
+        da[targets] = np.add.reduceat(g[order], starts, axis=0)
         return (da,)
 
     return record(out, (a,), bk)

@@ -20,12 +20,16 @@ One numpy kernel runs every recurrence in the package. Its gate columns are
 ordered ``[i, c, f, o | m, s]`` (c and s are the token and graph
 candidates): the token stream feeds the first 4H columns, the graph stream,
 when there is one, columns 2H-6H, and the previous hidden state all of them.
-Each timestep is three GEMMs into one (B, 6H) pre-activation (two into
-(B, 4H) for the plain cell), and sigmoid is ``0.5 * (1 + tanh(x / 2))``.
 Batches are packed: rows are ranked longest first, so at step t only the
 sentences longer than t are live, in both directions, and every GEMM, gate
 and BPTT step runs on that prefix alone. Padded positions are never read or
-computed; their output rows are zero. The stored weights are in
+computed; their output rows are zero. Only h_{t-1} is sequential, so the
+token and graph projections run outside the step loop: one GEMM per stream
+for each block of whole consecutive steps that fits in ``_BLOCK_ROWS``
+packed rows (a longer step is a block of its own), a budget that bounds the
+memory they take. Each step then adds its rows of them to one ``h @ W_h``
+GEMM, (B, 6H) ((B, 4H) for the plain cell), and sigmoid is
+``0.5 * (1 + tanh(x / 2))``. The stored weights are in
 this layout already (``LstmParams``), so the kernel multiplies by them as
 they are and its backward returns each stacked gradient whole.
 
@@ -46,6 +50,7 @@ are batches of row vectors, (B, H), and start at zero.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +62,9 @@ from .initializers import glorot, zeros
 
 GATE_NAMES = ("f", "i", "m", "o")
 _SIGMOID_GATES = frozenset("ifom")
+# Packed rows per input-projection GEMM. A block is whole steps, so a step
+# longer than this is a block of its own.
+_BLOCK_ROWS = 128
 
 
 @dataclass
@@ -190,10 +198,11 @@ def _direction(x, g, p, src, live, order, out, final, keep, acts):
     where a is ``live[:t].sum()``. No other row of x or g is read. Writes
     each packed h into ``out[src]`` ((rows, H)), or with ``final`` each
     rank's state after its last step into ``out[order]`` ((B, H)), and
-    leaves the rest of ``out`` alone. With ``keep`` it caches what the
-    backward needs and returns the backward function, else None. ``acts``
-    is None or a (len(src), len(p.gates), H) array that receives every
-    step's activations in packed order.
+    leaves the rest of ``out`` alone. The x and g projections are computed
+    a block of steps ahead (see ``_BLOCK_ROWS``). With ``keep`` it caches
+    what the backward needs and returns the backward function, else None.
+    ``acts`` is None or a (len(src), len(p.gates), H) array that receives
+    every step's activations in packed order.
     """
     hidden = p.hidden
     gates = p.gates
@@ -218,12 +227,22 @@ def _direction(x, g, p, src, live, order, out, final, keep, acts):
     # Row r is rank r's state; a finished rank's row is never written again.
     h = np.zeros((len(order), hidden))
     c = np.zeros((len(order), hidden))
-    for t, k in enumerate(live):
-        span = slice(ends[t] - k, ends[t])
+    top = 0  # packed rows [base, top) have their input projections
+    stops = ends.tolist()
+    for t, k in enumerate(live.tolist()):
+        span = slice(stops[t] - k, stops[t])
+        if span.start == top:
+            # Project the inputs of the whole steps within _BLOCK_ROWS rows
+            # from here, and of this step at least, in one GEMM per stream.
+            base = top
+            top = stops[max(t, bisect_right(stops, base + _BLOCK_ROWS) - 1)]
+            x_proj = xp[base:top] @ w_x
+            g_proj = None if gp is None else gp[base:top] @ w_g
+        rel = slice(span.start - base, span.stop - base)
         pre = h[:k] @ w_h
-        pre[:, :tok] += xp[span] @ w_x
+        pre[:, :tok] += x_proj[rel]
         if gp is not None:
-            pre[:, grf:] += gp[span] @ w_g
+            pre[:, grf:] += g_proj[rel]
         pre += bias
         pre *= scale
         np.tanh(pre, out=pre)
@@ -308,10 +327,13 @@ def bidirectional(x, g, lengths, fwd, bwd, final=False, gates=None):
     position, or with ``final`` the (B, 2H) states after each direction's
     last step. Padded rows (t >= lengths[b]) are never read: a NaN there
     changes nothing, their output rows are exact zeros in both directions,
-    and their input rows and output rows get zero gradient. When ``gates``
-    is a dict, each of the cell's gates in GATE_NAMES appends to
-    ``gates[name]`` one (tokens, 2, H) array: its activations at the batch's
-    real positions in row order, direction 0 forward.
+    and their input rows and output rows get zero gradient. ``lengths``
+    must be non-negative with a positive maximum, and x and g must have
+    ``len(lengths) * max(lengths)`` rows, else it raises ContractError or
+    DimensionError. When ``gates`` is a dict, each of the cell's gates in
+    GATE_NAMES appends to ``gates[name]`` one (tokens, 2, H) array: its
+    activations at the batch's real positions in row order, direction 0
+    forward.
     """
     if (g is None) != (fwd.graph_dim is None):
         raise ContractError("a graph stream needs graph-gated parameters and vice versa")
@@ -319,8 +341,18 @@ def bidirectional(x, g, lengths, fwd, bwd, final=False, gates=None):
     if g is not None:
         _check_step_dims(g, fwd.graph_dim, "graph input")
     lengths = np.asarray(lengths)
-    batch = len(lengths)
-    n_max = x.data.shape[0] // batch
+    if lengths.ndim != 1 or not lengths.size:
+        raise DimensionError(f"lengths has shape {lengths.shape}, expected (batch,) "
+                             "with at least one sentence")
+    if lengths.min() < 0 or lengths.max() < 1:
+        raise ContractError(f"lengths run from {lengths.min()} to {lengths.max()}; "
+                            "none may be negative and the longest needs a token")
+    batch, n_max = len(lengths), int(lengths.max())
+    for name, t in (("token", x), ("graph", g)):
+        if t is not None and t.data.shape[0] != batch * n_max:
+            raise DimensionError(
+                f"{name} input has {t.data.shape[0]} rows, expected "
+                f"len(lengths) * max(lengths) = {batch} * {n_max}")
     hidden = fwd.hidden
     # Rank rows longest first; then step t runs the live[t] longest rows in
     # both directions. sent and step give each packed row's sentence and step.

@@ -11,6 +11,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syntag import autodiff as ad
 from syntag.errors import ContractError, DimensionError, StateError
@@ -113,6 +115,22 @@ class TestPrimitiveGradients:
         # untouched rows get zero gradient, row 2 gets both contributions
         assert np.all(table.grad[1] == 0.0)
         np.testing.assert_allclose(table.grad[2], w.data[1] + w.data[2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(table_rows=st.integers(1, 8), width=st.integers(1, 4),
+           idx=st.lists(st.integers(0, 7), max_size=30), seed=st.integers(0, 2**16))
+    def test_rows_gradient_is_one_hot_transpose(self, table_rows, width, idx, seed):
+        # Indices repeat (30 draws over at most 8 rows) or are empty.
+        idx = np.array(idx, dtype=np.intp) % table_rows
+        rng = np.random.default_rng(seed)
+        table = ad.Tensor(_rand(rng, (table_rows, width)), requires_grad=True)
+        g = _rand(rng, (len(idx), width))
+        ad.clear_grads({"t": table})
+        with ad.Tape():
+            val = (ad.constant(g) * ad.rows(table, idx)).sum()
+        ad.backward(val)
+        onehot = (idx[:, None] == np.arange(table_rows)).astype(float)
+        np.testing.assert_allclose(table.grad, onehot.T @ g, rtol=0, atol=1e-12)
 
     def test_take_flat_indices(self):
         rng = np.random.default_rng(11)

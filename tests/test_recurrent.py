@@ -1,5 +1,7 @@
 """Tests for the graph-gated LSTM cell, the plain LSTM and the expansion oracle."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -444,6 +446,17 @@ class TestKernel:
                    lambda nb: [nb[0]] * nb[1])))
     def test_packed_kernel_matches_chain_on_any_lengths(self, graph, seed, lengths):
         _check_against_chain(graph, lengths, seed)
+        # Blocks of one step, and blocks that end inside or at a step.
+        for budget in (1, 2, 3):
+            with mock.patch.object(rc, "_BLOCK_ROWS", budget):
+                _check_against_chain(graph, lengths, seed)
+
+    @pytest.mark.parametrize("graph", [True, False], ids=["graph", "plain"])
+    def test_many_projection_blocks(self, graph):
+        # 149 packed rows: more than the default block budget holds.
+        lengths = [14, 3, 20, 9, 1, 17, 12, 5, 20, 8, 16, 11, 13]
+        assert rc._BLOCK_ROWS < sum(lengths) < 2 * rc._BLOCK_ROWS
+        _check_against_chain(graph, lengths, seed=29)
 
     @pytest.mark.parametrize("graph", [True, False], ids=["graph", "plain"])
     def test_padded_batch_gradients_match_finite_differences(self, graph):
@@ -539,3 +552,36 @@ class TestKernel:
             rc.bidirectional(x, None, LENGTHS, gfwd, gbwd)
         with pytest.raises(DimensionError):
             rc.bidirectional(ad.constant(np.zeros((15, 5))), g, LENGTHS, gfwd, gbwd)
+
+    def test_rows_not_a_multiple_of_the_batch(self):
+        fwd, bwd, x, _, _ = _kernel_case(False, seed=30)
+        with pytest.raises(DimensionError, match=r"14 rows, expected .* 3 \* 5"):
+            rc.bidirectional(ad.constant(x.data[:14]), None, LENGTHS, fwd, bwd)
+
+    def test_rows_beyond_the_longest_sentence(self):
+        # 10 rows over two sentences would be n_max 5, a step no row is live at.
+        fwd, bwd, _, _, rng = _kernel_case(False, seed=31)
+        with pytest.raises(DimensionError, match=r"10 rows, expected .* 2 \* 4"):
+            rc.bidirectional(ad.constant(rng.normal(size=(10, 3))), None, [3, 4],
+                             fwd, bwd)
+
+    def test_graph_rows_must_match_token_rows(self):
+        fwd, bwd, x, g, _ = _kernel_case(True, seed=32)
+        with pytest.raises(DimensionError, match="graph input has 10 rows"):
+            rc.bidirectional(x, ad.constant(g.data[:10]), LENGTHS, fwd, bwd)
+
+    def test_empty_lengths(self):
+        fwd, bwd, _, _, _ = _kernel_case(False, seed=33)
+        with pytest.raises(DimensionError, match="at least one sentence"):
+            rc.bidirectional(ad.constant(np.zeros((0, 3))), None, [], fwd, bwd)
+
+    def test_all_zero_lengths_under_a_tape(self):
+        fwd, bwd, _, _, _ = _kernel_case(False, seed=34)
+        x = ad.Tensor(np.zeros((0, 3)), requires_grad=True)
+        with ad.Tape(), pytest.raises(ContractError, match="longest needs a token"):
+            rc.bidirectional(x, None, [0, 0], fwd, bwd)
+
+    def test_negative_length(self):
+        fwd, bwd, x, _, _ = _kernel_case(False, seed=35)
+        with pytest.raises(ContractError, match="none may be negative"):
+            rc.bidirectional(x, None, [5, -1, 3], fwd, bwd)
