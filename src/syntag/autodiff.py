@@ -40,8 +40,6 @@ __all__ = [
     "mul",
     "matmul",
     "bmm_const",
-    "sigmoid",
-    "tanh",
     "relu",
     "concat",
     "reshape",
@@ -72,11 +70,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return _sum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
     def item(self):
         return float(self.data)
@@ -318,31 +311,6 @@ def bmm_const(mats, a):
 
     def bk(g):
         return (np.matmul(mats_t, g),)
-
-    return record(out, (a,), bk)
-
-
-def sigmoid(a):
-    x = a.data
-    out_data = np.empty_like(x)
-    pos = x >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
-    out = Tensor(out_data)
-
-    def bk(g):
-        return (g * out_data * (1.0 - out_data),)
-
-    return record(out, (a,), bk)
-
-
-def tanh(a):
-    out_data = np.tanh(a.data)
-    out = Tensor(out_data)
-
-    def bk(g):
-        return (g * (1.0 - out_data * out_data),)
 
     return record(out, (a,), bk)
 

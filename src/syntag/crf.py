@@ -1,4 +1,4 @@
-"""Linear-chain CRF scoring, partition function, decoding and oracles.
+"""Linear-chain CRF scoring, partition function and decoding.
 
 The transition matrix is (L+2) x (L+2) over the L real labels plus virtual
 START (id L) and STOP (id L+1). A sequence y of length n is scored as
@@ -15,7 +15,6 @@ gets an exact zero gradient.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,47 +259,6 @@ def viterbi_batch(em, lengths, trans):
     return paths, prefix + stop_col[prev]
 
 
-def brute_force(lattice, trans, size_guard=10 ** 6):
-    """Exhaustive enumeration oracle: (logZ, lexicographically-first argmax)."""
-    em, t = _as_arrays(lattice, trans)
-    n, L = em.shape
-    if L ** n > size_guard:
-        raise ContractError(f"brute force refuses {L}^{n} sequences")
-    scores, seqs = _enumerate_scores(em, t)
-    m = scores.max()
-    log_z = float(np.log(np.exp(scores - m).sum()) + m)
-    best = seqs[int(np.argmax(scores))]
-    return log_z, list(int(v) for v in best)
-
-
-def brute_force_marginals(lattice, trans, size_guard=10 ** 6):
-    """Per-position label marginals P(y_t = j) by full enumeration."""
-    em, t = _as_arrays(lattice, trans)
-    n, L = em.shape
-    if L ** n > size_guard:
-        raise ContractError(f"brute force refuses {L}^{n} sequences")
-    scores, seqs = _enumerate_scores(em, t)
-    m = scores.max()
-    w = np.exp(scores - m)
-    probs = w / w.sum()
-    marg = np.zeros((n, L))
-    for t_i in range(n):
-        for j in range(L):
-            marg[t_i, j] = probs[seqs[:, t_i] == j].sum()
-    return marg
-
-
-def _enumerate_scores(em, t):
-    n, L = em.shape
-    inner = t[:L, :L]
-    seqs = np.array(list(itertools.product(range(L), repeat=n)), dtype=np.intp)
-    scores = t[L, seqs[:, 0]] + em[0, seqs[:, 0]]
-    for s in range(1, n):
-        scores = scores + inner[seqs[:, s - 1], seqs[:, s]] + em[s, seqs[:, s]]
-    scores = scores + t[seqs[:, -1], L + 1]
-    return scores, seqs
-
-
 __all__ = [
     "TagLattice",
     "CrfParams",
@@ -311,6 +269,4 @@ __all__ = [
     "nll_batch",
     "viterbi",
     "viterbi_batch",
-    "brute_force",
-    "brute_force_marginals",
 ]

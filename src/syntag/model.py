@@ -92,17 +92,6 @@ class ModelConfig:
             raise ContractError("min_count must be >= 1")
         return self
 
-    def to_text(self):
-        lines = []
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if v is None:
-                v = "none"
-            elif isinstance(v, bool):
-                v = "true" if v else "false"
-            lines.append(f"{f.name} = {v}")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_file(cls, path):
         kwargs = {}
@@ -140,6 +129,21 @@ def _convert_option(annotation, value):
         return low == "true"
     if annotation == "str | None" and value.lower() == "none":
         return None
+    return value
+
+
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+               "str | None": (str, type(None))}
+
+
+def typed_value(name, value, annotation):
+    """``value`` if its type fits a config field annotation, else TypeError.
+
+    A bool fits only ``bool``, though Python counts it as an int.
+    """
+    want = _JSON_TYPES[annotation]
+    if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
+        raise TypeError(f"{name} is {value!r}, expected {annotation}")
     return value
 
 

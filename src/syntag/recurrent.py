@@ -20,6 +20,7 @@ One numpy kernel runs every recurrence in the package. Its gate columns are
 ordered ``[i, c, f, o | m, s]`` (c and s are the token and graph
 candidates): the token stream feeds the first 4H columns, the graph stream,
 when there is one, columns 2H-6H, and the previous hidden state all of them.
+States start at zero.
 Batches are packed: rows are ranked longest first, so at step t only the
 sentences longer than t are live, in both directions, and every GEMM, gate
 and BPTT step runs on that prefix alone. Padded positions are never read or
@@ -38,25 +39,16 @@ backward: the reverse loop only carries the h and c gradients, and the
 weight and input gradients are single matmuls after it. With no tape active
 the kernel keeps no backward caches, only the gate activations when the
 caller asks for them.
-
-``graph_step`` and ``plain_step`` are the same cells as chains of tape ops,
-one step at a time, reading each gate's block of the stacked weights
-through ``block``. The model never calls them: they are the reference the
-kernel is tested against, and they are themselves tested against scalar
-transcriptions and against the closed-form expansion of the cell state
-(``expand_cell_state``), which never runs the recurrence for c. All states
-are batches of row vectors, (B, H), and start at zero.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, constant, matmul, rows, sigmoid, tanh
+from .autodiff import Tensor
 from .errors import ContractError, DimensionError
 from .initializers import glorot, zeros
 
@@ -65,17 +57,6 @@ _SIGMOID_GATES = frozenset("ifom")
 # Packed rows per input-projection GEMM. A block is whole steps, so a step
 # longer than this is a block of its own.
 _BLOCK_ROWS = 128
-
-
-@dataclass
-class LstmState:
-    h: Tensor
-    c: Tensor
-
-
-def zero_state(batch, hidden):
-    return LstmState(constant(np.zeros((batch, hidden))),
-                     constant(np.zeros((batch, hidden))))
 
 
 class LstmParams:
@@ -128,58 +109,6 @@ class LstmParams:
     def parameters(self):
         names = "W_x W_h b" if self.graph_dim is None else "W_x W_g W_h b"
         return {name: getattr(self, name) for name in names.split()}
-
-
-def block(p, stream, gate):
-    """One gate's block of a stacked tensor as a differentiable (rows, H) view.
-
-    Built from ``take`` and ``reshape``, so the reference cells below read
-    the same storage as the kernel without sharing any of its code.
-    """
-    t = p.stacked(stream)
-    cols = np.arange(t.data.shape[-1])[p.columns(stream, gate)]
-    if t.data.ndim == 1:
-        return ad.take(t, cols)
-    flat = np.arange(t.data.shape[0])[:, None] * t.data.shape[1] + cols
-    return ad.reshape(ad.take(t, flat.ravel()), (t.data.shape[0], p.hidden))
-
-
-def _preactivations(p, streams):
-    """Every gate's pre-activation, given each input stream's (B, D) rows."""
-    return {gate: sum((matmul(v, block(p, stream, gate))
-                       for stream, v in streams.items() if gate in p.feeds(stream)),
-                      block(p, "b", gate))
-            for gate in p.gates}
-
-
-def _record(trace, **gates):
-    if trace is not None:
-        trace.update({name: gate.data.copy() for name, gate in gates.items()})
-
-
-def graph_step(x, g, state, p, trace=None):
-    """One step of the graph-gated cell over a batch of rows.
-
-    When ``trace`` is a dict, the four gate activations are stored into it
-    as plain arrays under keys f/i/m/o.
-    """
-    _check_step_dims(x, p.input_dim, "token input")
-    _check_step_dims(g, p.graph_dim, "graph input")
-    pre = _preactivations(p, {"x": x, "h": state.h, "g": g})
-    f, i, m, o = (sigmoid(pre[gate]) for gate in "fimo")
-    c = f * state.c + i * tanh(pre["c"]) + m * tanh(pre["s"])
-    _record(trace, f=f, i=i, m=m, o=o)
-    return LstmState(o * tanh(c), c)
-
-
-def plain_step(x, state, p, trace=None):
-    """One standard LSTM step over a batch of rows."""
-    _check_step_dims(x, p.input_dim, "token input")
-    pre = _preactivations(p, {"x": x, "h": state.h})
-    f, i, o = (sigmoid(pre[gate]) for gate in "fio")
-    c = f * state.c + i * tanh(pre["c"])
-    _record(trace, f=f, i=i, o=o)
-    return LstmState(o * tanh(c), c)
 
 
 def _check_step_dims(x, expect, what):
@@ -395,47 +324,3 @@ def run_graph_bidirectional_batch(x_flat, g_flat, lengths, fwd, bwd,
 def run_plain_bidirectional_batch(x_flat, lengths, fwd, bwd, gates=None):
     """Bidirectional plain-LSTM pass over a padded batch: (B * n_max, 2H)."""
     return bidirectional(x_flat, None, lengths, fwd, bwd, gates=gates)
-
-
-def expand_cell_state(x_seq, g_seq, params, t, return_weights=False):
-    """Cell state c_t via the closed-form weighted-sum expansion.
-
-    Instead of iterating c_t = f*c + i*cand_c + m*cand_s, every c_j is
-    rebuilt from scratch as
-
-        c_j = sum_k a_k_j * cand_c_k  +  sum_k q_k_j * cand_s_k
-
-    where a_k_j = i_k * prod(f_{k+1} .. f_j) and q_k_j likewise from m_k.
-    Hidden states between positions still come from h_j = o_j * tanh(c_j),
-    with c_j taken from the expansion, so the recurrence for c is never
-    used. This is the independent oracle for the step function.
-
-    x_seq and g_seq are single-sentence (n, D) tensors; returns c_t with
-    shape (H,). With return_weights=True, also returns the lists of weight
-    tensors (each (1, H)) for boundedness checks.
-    """
-    n = x_seq.data.shape[0]
-    if not 0 <= t < n:
-        raise ContractError(f"position {t} outside sequence of length {n}")
-    h = constant(np.zeros((1, params.hidden)))
-    a_weights, q_weights = [], []
-    c_cands, s_cands = [], []
-    c_j = None
-    for j in range(t + 1):
-        pre = _preactivations(params, {"x": rows(x_seq, np.array([j])), "h": h,
-                                       "g": rows(g_seq, np.array([j]))})
-        f, i, m, o = (sigmoid(pre[gate]) for gate in "fimo")
-        c_cands.append(tanh(pre["c"]))
-        s_cands.append(tanh(pre["s"]))
-        a_weights = [w * f for w in a_weights] + [i]
-        q_weights = [w * f for w in q_weights] + [m]
-        c_j = a_weights[0] * c_cands[0]
-        for k in range(1, len(a_weights)):
-            c_j = c_j + a_weights[k] * c_cands[k]
-        for k in range(len(q_weights)):
-            c_j = c_j + q_weights[k] * s_cands[k]
-        h = o * tanh(c_j)
-    c_t = ad.reshape(c_j, (params.hidden,))
-    if return_weights:
-        return c_t, a_weights, q_weights
-    return c_t

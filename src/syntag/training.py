@@ -18,7 +18,7 @@ from .autodiff import Tape, backward
 from .data import (Vocabulary, build_vocab, convert_label_scheme,
                    corpus_alignment_check, load_embeddings, parse_corpus)
 from .errors import ContractError, FormatError, NumericalError
-from .model import ModelConfig, SequenceTagger
+from .model import ModelConfig, SequenceTagger, typed_value
 
 CHECKPOINT_MAGIC = b"SYNL"
 CHECKPOINT_VERSION = 2
@@ -345,11 +345,13 @@ def _parse_checkpoint_body(body):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"bad checkpoint metadata: {exc}") from None
     try:
-        config = ModelConfig(**meta["config"])
+        types = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
+        config = ModelConfig(**{name: typed_value(f"config.{name}", value, types[name])
+                                for name, value in meta["config"].items()}).validate()
         vocab = Vocabulary.from_dict(meta["vocab"])
-        best_f1 = float(meta["best_dev_f1"])
-        best_epoch = int(meta["best_epoch"])
-    except (KeyError, TypeError) as exc:
+        best_f1 = float(typed_value("best_dev_f1", meta["best_dev_f1"], "float"))
+        best_epoch = typed_value("best_epoch", meta["best_epoch"], "int")
+    except (KeyError, TypeError, AttributeError, ContractError) as exc:
         raise FormatError(f"bad checkpoint metadata: {exc}") from None
     params = {}
     while body.left:

@@ -1,24 +1,42 @@
-"""Single-sentence references for the batched GCN and CRF paths, and a
-scheme-specific span decoder.
+"""References the tests hold the package against, and what each one checks.
 
-The package only runs padded batches. These one-sentence versions build the
-adjacency with an explicit loop and run one layer at a time, so the tests
-can hold ``gcn.encode_batch`` and ``gcn.batch_normalized_adjacency`` against
-a second construction, and read the CRF's batched scores through a plain
-(lattice, transitions, labels) call.
+The package runs packed or padded batches through fused kernels; these do
+the same jobs one sentence or one step at a time, from loops and tape ops.
 
-``decode_spans_lenient`` scans BIO and BIOES with a separate hand-written
-rule for each scheme, so the tests can hold ``data.decode_label_spans``,
-which reads the shared ``data.tag_may_follow`` grammar, against it.
+* ``build_adjacency``, ``gcn_layer``, ``encode``: the GCN over one sentence,
+  one layer at a time; check ``gcn.batch_normalized_adjacency`` and
+  ``gcn.encode_batch``.
+* ``score_sequence``, ``log_partition``, ``nll``: the batched CRF read
+  through a plain (lattice, transitions, labels) call.
+* ``enumerate_scores``, ``brute_force``: every label sequence of a small
+  lattice; logZ, argmax and marginals from it check the forward algorithm,
+  its forward-backward gradient, ``viterbi`` and ``viterbi_batch``.
+* ``sigmoid``, ``tanh``: tape ops on ``autodiff.record``, checked by finite
+  differences; they feed the cell below.
+* ``step``, ``zero_state``, ``LstmState``: one step of the graph-gated cell,
+  or of the plain one when ``p.graph_dim`` is None, reading each gate's
+  weight block through ``take``. A chain of steps checks the outputs, gates
+  and gradients of ``recurrent.bidirectional``; a scalar transcription in
+  ``test_recurrent.py`` checks ``step``.
+* ``expand_cell_state``: c_t as a weighted sum of candidates, never running
+  the recurrence for c; checks ``cell_states``, a chain of ``step``.
+* ``decode_spans_lenient``: a hand-written rule per scheme; checks
+  ``data.decode_label_spans``, which reads ``data.tag_may_follow``.
+* ``config_text``: writes the ``key = value`` form that
+  ``ModelConfig.from_file`` reads.
 """
 
+import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from syntag import crf
-from syntag.autodiff import constant, matmul, relu, reshape
-from syntag.errors import DimensionError
+from syntag import recurrent as rc
+from syntag.autodiff import (Tensor, constant, matmul, record, relu, reshape,
+                             rows, take)
+from syntag.errors import ContractError, DimensionError
 
 
 @dataclass
@@ -80,6 +98,146 @@ def nll(lattice, trans, gold):
     return crf.nll_batch(lattice.emissions, [lattice.n], trans, [gold])
 
 
+def enumerate_scores(lattice, trans, size_guard=10 ** 6):
+    """(scores, seqs): every label sequence, in lexicographic order, and its score."""
+    em, t = crf._as_arrays(lattice, trans)
+    n, L = em.shape
+    if L ** n > size_guard:
+        raise ContractError(f"brute force refuses {L}^{n} sequences")
+    seqs = np.array(list(itertools.product(range(L), repeat=n)), dtype=np.intp)
+    scores = t[L, seqs[:, 0]] + em[0, seqs[:, 0]]
+    for s in range(1, n):
+        scores = scores + t[seqs[:, s - 1], seqs[:, s]] + em[s, seqs[:, s]]
+    return scores + t[seqs[:, -1], L + 1], seqs
+
+
+def brute_force(lattice, trans):
+    """(logZ, lexicographically-first argmax, (n, L) marginals P(y_t = j))."""
+    scores, seqs = enumerate_scores(lattice, trans)
+    m = scores.max()
+    w = np.exp(scores - m)
+    L = lattice.emissions.data.shape[1]
+    marginals = np.stack([np.bincount(labels, weights=w, minlength=L)
+                          for labels in seqs.T]) / w.sum()
+    best = [int(v) for v in seqs[np.argmax(scores)]]
+    return float(np.log(w.sum()) + m), best, marginals
+
+
+def sigmoid(a):
+    out = np.empty_like(a.data)
+    pos = a.data >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
+    ex = np.exp(a.data[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return record(Tensor(out), (a,), lambda g: (g * out * (1.0 - out),))
+
+
+def tanh(a):
+    out = np.tanh(a.data)
+    return record(Tensor(out), (a,), lambda g: (g * (1.0 - out * out),))
+
+
+@dataclass
+class LstmState:
+    h: Tensor
+    c: Tensor
+
+
+def zero_state(batch, hidden):
+    zeros = constant(np.zeros((batch, hidden)))
+    return LstmState(zeros, zeros)
+
+
+def _block(p, stream, gate):
+    """One gate's block of a stacked tensor as a differentiable (rows, H) view."""
+    t = p.stacked(stream)
+    cols = np.arange(t.data.shape[-1])[p.columns(stream, gate)]
+    if t.data.ndim == 1:
+        return take(t, cols)
+    flat = np.arange(t.data.shape[0])[:, None] * t.data.shape[1] + cols
+    return reshape(take(t, flat.ravel()), (t.data.shape[0], p.hidden))
+
+
+def _activations(p, x, g, h):
+    """Each gate's activation and each candidate (c, s) for one step's rows."""
+    streams = {"x": x, "h": h}
+    if p.graph_dim is not None:
+        streams["g"] = g
+    out = {}
+    for gate in p.gates:
+        pre = sum((matmul(v, _block(p, stream, gate))
+                   for stream, v in streams.items() if gate in p.feeds(stream)),
+                  _block(p, "b", gate))
+        out[gate] = tanh(pre) if gate in "cs" else sigmoid(pre)
+    return out
+
+
+def step(x, g, state, p, trace=None):
+    """One cell step over a batch of rows; g is ignored by a plain cell.
+
+    When ``trace`` is a dict, the gate activations (f, i, o, and m for the
+    graph-gated cell) are stored into it as plain arrays.
+    """
+    rc._check_step_dims(x, p.input_dim, "token input")
+    if p.graph_dim is not None:
+        rc._check_step_dims(g, p.graph_dim, "graph input")
+    a = _activations(p, x, g, state.h)
+    c = a["f"] * state.c + a["i"] * a["c"]
+    if "m" in a:
+        c = c + a["m"] * a["s"]
+    if trace is not None:
+        trace.update({gate: a[gate].data.copy() for gate in rc.GATE_NAMES if gate in a})
+    return LstmState(a["o"] * tanh(c), c)
+
+
+def cell_states(x_seq, g_seq, params):
+    """Each position's (H,) cell state from a chain of graph-gated ``step``s."""
+    state, cells = zero_state(1, params.hidden), []
+    for t in range(x_seq.data.shape[0]):
+        state = step(rows(x_seq, np.array([t])), rows(g_seq, np.array([t])),
+                     state, params)
+        cells.append(state.c.data[0])
+    return cells
+
+
+def expand_cell_state(x_seq, g_seq, params, t, return_weights=False):
+    """Cell state c_t of the graph-gated cell via the closed-form expansion.
+
+    Every c_j is rebuilt from scratch as
+
+        c_j = sum_k a_k_j * cand_c_k  +  sum_k q_k_j * cand_s_k
+
+    where a_k_j = i_k * prod(f_{k+1} .. f_j) and q_k_j likewise from m_k.
+    Hidden states between positions still come from h_j = o_j * tanh(c_j),
+    with c_j taken from the expansion, so the recurrence for c is never
+    used.
+
+    x_seq and g_seq are single-sentence (n, D) tensors; returns c_t with
+    shape (H,). With return_weights=True, also returns the lists of weight
+    tensors (each (1, H)) for boundedness checks.
+    """
+    n = x_seq.data.shape[0]
+    if not 0 <= t < n:
+        raise ContractError(f"position {t} outside sequence of length {n}")
+    h = constant(np.zeros((1, params.hidden)))
+    a_weights, q_weights = [], []
+    c_cands, s_cands = [], []
+    for j in range(t + 1):
+        a = _activations(params, rows(x_seq, np.array([j])),
+                         rows(g_seq, np.array([j])), h)
+        c_cands.append(a["c"])
+        s_cands.append(a["s"])
+        a_weights = [w * a["f"] for w in a_weights] + [a["i"]]
+        q_weights = [w * a["f"] for w in q_weights] + [a["m"]]
+        terms = [w * v for w, v in zip(a_weights + q_weights, c_cands + s_cands)]
+        c_j = sum(terms[1:], terms[0])
+        h = a["o"] * tanh(c_j)
+    c_t = reshape(c_j, (params.hidden,))
+    if return_weights:
+        return c_t, a_weights, q_weights
+    return c_t
+
+
 def decode_spans_lenient(labels, scheme):
     """(start, end, type) spans of arbitrary tags, dropping broken chunks.
 
@@ -120,3 +278,14 @@ def decode_spans_lenient(labels, scheme):
         else:
             i += 1
     return spans
+
+
+def config_text(config):
+    """``config`` as the ``key = value`` lines that ``ModelConfig.from_file`` reads."""
+    lines = []
+    for f in dataclasses.fields(config):
+        v = getattr(config, f.name)
+        if v is None or isinstance(v, bool):
+            v = str(v).lower()  # none, true, false
+        lines.append(f"{f.name} = {v}\n")
+    return "".join(lines)

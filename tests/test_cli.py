@@ -1,12 +1,16 @@
 """End-to-end command-line tests, all run in process."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import reference
 from syntag.cli import _split_corpus, main
 from syntag.data import parse_corpus, validate_labels
 from syntag.model import ModelConfig, SequenceTagger
-from syntag.training import load_checkpoint
+from syntag.errors import FormatError
+from syntag.training import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +24,7 @@ def workdir(tmp_path_factory):
     config = ModelConfig(variant="syn-lstm-crf", hidden=8, word_dim=8,
                          char_dim=4, char_hidden=4, deprel_dim=4, pos_dim=4,
                          dropout=0.1, batch_size=8, epochs=2, seed=3)
-    (root / "model.conf").write_text(config.to_text())
+    (root / "model.conf").write_text(reference.config_text(config))
     code = main(["train", "--config", str(root / "model.conf"),
                  "--train", str(root / "train.tsv"),
                  "--dev", str(root / "dev.tsv"),
@@ -145,7 +149,7 @@ class TestAnalyzeGates:
     def test_plain_checkpoint_names_its_gates(self, workdir, tmp_path, capsys):
         config = ModelConfig.from_file(workdir / "model.conf")
         config.variant, config.epochs = "bilstm-crf", 1
-        (tmp_path / "plain.conf").write_text(config.to_text())
+        (tmp_path / "plain.conf").write_text(reference.config_text(config))
         assert main(["train", "--config", str(tmp_path / "plain.conf"),
                      "--train", str(workdir / "dev.tsv"),
                      "--dev", str(workdir / "dev.tsv"),
@@ -245,6 +249,29 @@ class TestExitCodes:
         bad.write_bytes(b"not a checkpoint")
         assert main(["eval", "--model", str(bad),
                      "--data", str(workdir / "dev.tsv")]) == 2
+
+    def test_wrongly_typed_checkpoint_metadata_is_data_error(self, workdir, tmp_path,
+                                                             capsys):
+        ckpt = load_checkpoint(workdir / "model.ckpt")
+
+        def with_config(**changes):
+            return dataclasses.replace(
+                ckpt, config=dataclasses.replace(ckpt.config, **changes))
+
+        bad = [("config.hidden", with_config(hidden="4")),
+               ("config.dropout", with_config(dropout=True)),  # a bool is no float
+               ("hidden must be positive", with_config(hidden=0)),
+               ("best_dev_f1", dataclasses.replace(ckpt, best_dev_f1="high"))]
+        for k, (field, broken) in enumerate(bad):
+            path = tmp_path / f"bad{k}.ckpt"
+            save_checkpoint(broken, path)
+            with pytest.raises(FormatError, match=f"bad checkpoint metadata: {field}"):
+                load_checkpoint(path)
+        capsys.readouterr()
+        assert main(["eval", "--model", str(tmp_path / "bad0.ckpt"),
+                     "--data", str(workdir / "dev.tsv")]) == 2
+        assert "error: bad checkpoint metadata: config.hidden is '4'" in (
+            capsys.readouterr().err)
 
     def test_too_small_corpus_for_split(self, workdir, tmp_path):
         small = tmp_path / "small.tsv"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from syntag.autodiff import Tape, backward
 from syntag.data import build_vocab
 from syntag.errors import ContractError, FormatError
@@ -68,7 +69,7 @@ class TestConfig:
         c = ModelConfig(variant="bilstm-crf", hidden=17, dropout=0.25,
                         drop=None, embeddings=None, crf_constraints=True)
         path = tmp_path / "model.conf"
-        path.write_text(c.to_text())
+        path.write_text(reference.config_text(c))
         assert ModelConfig.from_file(path) == c
         # every field off its default, so each one's parsing is exercised
         c = ModelConfig(
@@ -81,7 +82,7 @@ class TestConfig:
             drop="gcn-1-layer", embeddings="vectors.txt")
         for f in dataclasses.fields(ModelConfig):
             assert getattr(c, f.name) != f.default, f.name
-        path.write_text(c.to_text())
+        path.write_text(reference.config_text(c))
         assert ModelConfig.from_file(path) == c
 
     def test_file_comments_and_blanks(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Tests for the graph-gated LSTM cell, the plain LSTM and the expansion oracle."""
+"""Tests for the recurrent kernel and its reference cells."""
 
 from unittest import mock
 
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from syntag import autodiff as ad
 from syntag import recurrent as rc
 from syntag.errors import ContractError, DimensionError
@@ -31,62 +32,41 @@ def _blocks(p):
             for gate in p.feeds(stream)}
 
 
-def scalar_graph_step(x, g, h, c, p):
-    """Independent elementwise transcription of the graph-gated update."""
-    hid = p.hidden
+def scalar_step(x, g, h, c, p):
+    """Independent elementwise transcription of one cell update: the
+    graph-gated cell when ``p.graph_dim`` is set, else the plain one."""
+    d = _blocks(p)
+    inputs = {"x": x, "h": h, "g": g}
 
-    def lin(pairs, bias):
-        out = np.zeros(hid)
-        for k in range(hid):
-            acc = bias[k]
-            for vec, mat in pairs:
+    def lin(gate, streams):
+        out = np.zeros(p.hidden)
+        for k in range(p.hidden):
+            acc = d[f"b_{gate}"][k]
+            for stream in streams:
+                vec, mat = inputs[stream], d[f"{stream}_{gate}"]
                 for i in range(len(vec)):
                     acc += vec[i] * mat[i, k]
             out[k] = acc
         return out
 
-    d = _blocks(p)
-    f = _sigmoid(lin([(x, d["x_f"]), (h, d["h_f"]), (g, d["g_f"])], d["b_f"]))
-    o = _sigmoid(lin([(x, d["x_o"]), (h, d["h_o"]), (g, d["g_o"])], d["b_o"]))
-    i = _sigmoid(lin([(x, d["x_i"]), (h, d["h_i"])], d["b_i"]))
-    m = _sigmoid(lin([(g, d["g_m"]), (h, d["h_m"])], d["b_m"]))
-    cand_c = np.tanh(lin([(x, d["x_c"]), (h, d["h_c"])], d["b_c"]))
-    cand_s = np.tanh(lin([(g, d["g_s"]), (h, d["h_s"])], d["b_s"]))
-    c_new = f * c + i * cand_c + m * cand_s
-    h_new = o * np.tanh(c_new)
-    return h_new, c_new
-
-
-def scalar_plain_step(x, h, c, p):
-    hid = p.hidden
-
-    def lin(pairs, bias):
-        out = np.zeros(hid)
-        for k in range(hid):
-            acc = bias[k]
-            for vec, mat in pairs:
-                for i in range(len(vec)):
-                    acc += vec[i] * mat[i, k]
-            out[k] = acc
-        return out
-
-    d = _blocks(p)
-    f = _sigmoid(lin([(x, d["x_f"]), (h, d["h_f"])], d["b_f"]))
-    i = _sigmoid(lin([(x, d["x_i"]), (h, d["h_i"])], d["b_i"]))
-    o = _sigmoid(lin([(x, d["x_o"]), (h, d["h_o"])], d["b_o"]))
-    cand = np.tanh(lin([(x, d["x_c"]), (h, d["h_c"])], d["b_c"]))
-    c_new = f * c + i * cand
-    h_new = o * np.tanh(c_new)
-    return h_new, c_new
+    graph = "" if p.graph_dim is None else "g"
+    f = _sigmoid(lin("f", "xh" + graph))
+    o = _sigmoid(lin("o", "xh" + graph))
+    i = _sigmoid(lin("i", "xh"))
+    c_new = f * c + i * np.tanh(lin("c", "xh"))
+    if graph:
+        m = _sigmoid(lin("m", "gh"))
+        c_new = c_new + m * np.tanh(lin("s", "gh"))
+    return o * np.tanh(c_new), c_new
 
 
 class TestGraphStep:
     def test_zero_params_zero_state(self):
         p = _zero_params(3, 4, graph_dim=2)
-        state = rc.zero_state(1, 4)
+        state = reference.zero_state(1, 4)
         trace = {}
-        out = rc.graph_step(ad.constant(np.ones((1, 3))),
-                            ad.constant(np.ones((1, 2))), state, p, trace)
+        out = reference.step(ad.constant(np.ones((1, 3))),
+                             ad.constant(np.ones((1, 2))), state, p, trace)
         np.testing.assert_array_equal(out.h.data, 0.0)
         np.testing.assert_array_equal(out.c.data, 0.0)
         for gate in ("f", "i", "m", "o"):
@@ -95,9 +75,9 @@ class TestGraphStep:
     def test_zero_params_carries_half_of_previous_cell(self):
         p = _zero_params(3, 4, graph_dim=2)
         v = np.array([[0.4, -1.0, 2.0, 0.0]])
-        state = rc.LstmState(ad.constant(np.zeros((1, 4))), ad.constant(v))
-        out = rc.graph_step(ad.constant(np.zeros((1, 3))),
-                            ad.constant(np.zeros((1, 2))), state, p)
+        state = reference.LstmState(ad.constant(np.zeros((1, 4))), ad.constant(v))
+        out = reference.step(ad.constant(np.zeros((1, 3))),
+                             ad.constant(np.zeros((1, 2))), state, p)
         np.testing.assert_allclose(out.c.data, 0.5 * v, atol=1e-15)
         np.testing.assert_allclose(out.h.data, 0.5 * np.tanh(0.5 * v), atol=1e-15)
 
@@ -109,25 +89,25 @@ class TestGraphStep:
             g = rng.uniform(-2, 2, (1, 2))
             h0 = rng.uniform(-1, 1, (1, 4))
             c0 = rng.uniform(-2, 2, (1, 4))
-            state = rc.LstmState(ad.constant(h0), ad.constant(c0))
-            out = rc.graph_step(ad.constant(x), ad.constant(g), state, p)
-            h_ref, c_ref = scalar_graph_step(x[0], g[0], h0[0], c0[0], p)
+            state = reference.LstmState(ad.constant(h0), ad.constant(c0))
+            out = reference.step(ad.constant(x), ad.constant(g), state, p)
+            h_ref, c_ref = scalar_step(x[0], g[0], h0[0], c0[0], p)
             np.testing.assert_allclose(out.h.data[0], h_ref, atol=1e-12)
             np.testing.assert_allclose(out.c.data[0], c_ref, atol=1e-12)
 
     def test_dimension_error_names_shape(self):
         p = _zero_params(3, 4, graph_dim=2)
         with pytest.raises(DimensionError):
-            rc.graph_step(ad.constant(np.ones((1, 5))),
-                          ad.constant(np.ones((1, 2))), rc.zero_state(1, 4), p)
+            reference.step(ad.constant(np.ones((1, 5))),
+                           ad.constant(np.ones((1, 2))), reference.zero_state(1, 4), p)
 
     def test_gates_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(4)
         p = rc.LstmParams(3, 6, rng, graph_dim=2)
-        state = rc.zero_state(2, 6)
+        state = reference.zero_state(2, 6)
         trace = {}
-        rc.graph_step(ad.constant(rng.uniform(-2, 2, (2, 3))),
-                      ad.constant(rng.uniform(-2, 2, (2, 2))), state, p, trace)
+        reference.step(ad.constant(rng.uniform(-2, 2, (2, 3))),
+                       ad.constant(rng.uniform(-2, 2, (2, 2))), state, p, trace)
         for gate in ("f", "i", "m", "o"):
             assert np.all(trace[gate] > 0.0) and np.all(trace[gate] < 1.0)
 
@@ -138,8 +118,8 @@ class TestGraphStep:
         x = rng.uniform(-1, 1, (1, 3))
         h0 = rng.uniform(-1, 1, (1, 4))
         c0 = rng.uniform(-1, 1, (1, 4))
-        state = rc.LstmState(ad.constant(h0), ad.constant(c0))
-        out = rc.graph_step(ad.constant(x), ad.constant(np.zeros((1, 2))), state, p)
+        state = reference.LstmState(ad.constant(h0), ad.constant(c0))
+        out = reference.step(ad.constant(x), ad.constant(np.zeros((1, 2))), state, p)
         d = _blocks(p)
         f = _sigmoid(x @ d["x_f"] + h0 @ d["h_f"] + d["b_f"])
         i = _sigmoid(x @ d["x_i"] + h0 @ d["h_i"] + d["b_i"])
@@ -153,8 +133,8 @@ class TestPlainStep:
     def test_zero_params(self):
         p = _zero_params(3, 4)
         v = np.array([[1.0, 2.0, -1.0, 0.5]])
-        state = rc.LstmState(ad.constant(np.zeros((1, 4))), ad.constant(v))
-        out = rc.plain_step(ad.constant(np.zeros((1, 3))), state, p)
+        state = reference.LstmState(ad.constant(np.zeros((1, 4))), ad.constant(v))
+        out = reference.step(ad.constant(np.zeros((1, 3))), None, state, p)
         np.testing.assert_allclose(out.c.data, 0.5 * v, atol=1e-15)
 
     def test_matches_scalar_reimplementation(self):
@@ -163,9 +143,9 @@ class TestPlainStep:
         x = rng.uniform(-2, 2, (1, 3))
         h0 = rng.uniform(-1, 1, (1, 4))
         c0 = rng.uniform(-2, 2, (1, 4))
-        state = rc.LstmState(ad.constant(h0), ad.constant(c0))
-        out = rc.plain_step(ad.constant(x), state, p)
-        h_ref, c_ref = scalar_plain_step(x[0], h0[0], c0[0], p)
+        state = reference.LstmState(ad.constant(h0), ad.constant(c0))
+        out = reference.step(ad.constant(x), None, state, p)
+        h_ref, c_ref = scalar_step(x[0], None, h0[0], c0[0], p)
         np.testing.assert_allclose(out.h.data[0], h_ref, atol=1e-12)
         np.testing.assert_allclose(out.c.data[0], c_ref, atol=1e-12)
 
@@ -179,8 +159,8 @@ class TestBidirectional:
         g = ad.constant(rng.uniform(-1, 1, (1, 2)))
         out = rc.bidirectional(x, g, [1], fwd, bwd)
         assert out.data.shape == (1, 8)
-        sf = rc.graph_step(x, g, rc.zero_state(1, 4), fwd)
-        sb = rc.graph_step(x, g, rc.zero_state(1, 4), bwd)
+        sf = reference.step(x, g, reference.zero_state(1, 4), fwd)
+        sb = reference.step(x, g, reference.zero_state(1, 4), bwd)
         np.testing.assert_allclose(out.data[0, :4], sf.h.data[0], atol=1e-14)
         np.testing.assert_allclose(out.data[0, 4:], sb.h.data[0], atol=1e-14)
 
@@ -240,23 +220,13 @@ class TestBidirectional:
 
 
 class TestExpansionIdentity:
-    def _recurrent_states(self, x, g, params):
-        state = rc.zero_state(1, params.hidden)
-        cs = []
-        for t in range(x.data.shape[0]):
-            xt = ad.rows(x, np.array([t]))
-            gt = ad.rows(g, np.array([t]))
-            state = rc.graph_step(xt, gt, state, params)
-            cs.append(state.c.data[0].copy())
-        return cs
-
     def test_first_position_is_plain_candidate_mix(self):
         rng = np.random.default_rng(11)
         p = rc.LstmParams(3, 4, rng, graph_dim=2)
         x = ad.constant(rng.uniform(-1, 1, (3, 3)))
         g = ad.constant(rng.uniform(-1, 1, (3, 2)))
-        c0 = rc.expand_cell_state(x, g, p, 0).data
-        ref = self._recurrent_states(x, g, p)[0]
+        c0 = reference.expand_cell_state(x, g, p, 0).data
+        ref = reference.cell_states(x, g, p)[0]
         np.testing.assert_allclose(c0, ref, atol=1e-12)
 
     def test_zero_params_expansion_is_zero(self):
@@ -265,7 +235,8 @@ class TestExpansionIdentity:
         x = ad.constant(rng.uniform(-1, 1, (4, 3)))
         g = ad.constant(rng.uniform(-1, 1, (4, 2)))
         for t in range(4):
-            np.testing.assert_array_equal(rc.expand_cell_state(x, g, p, t).data, 0.0)
+            np.testing.assert_array_equal(
+                reference.expand_cell_state(x, g, p, t).data, 0.0)
 
     def test_expansion_matches_recurrence_many_instances(self):
         rng = np.random.default_rng(13)
@@ -277,9 +248,9 @@ class TestExpansionIdentity:
             p = rc.LstmParams(dx, hid, rng, graph_dim=dg)
             x = ad.constant(rng.uniform(-2, 2, (n, dx)))
             g = ad.constant(rng.uniform(-2, 2, (n, dg)))
-            ref = self._recurrent_states(x, g, p)
+            ref = reference.cell_states(x, g, p)
             for t in range(n):
-                got = rc.expand_cell_state(x, g, p, t).data
+                got = reference.expand_cell_state(x, g, p, t).data
                 assert np.max(np.abs(got - ref[t])) < 1e-10
 
     def test_expansion_weights_bounded(self):
@@ -287,7 +258,7 @@ class TestExpansionIdentity:
         p = rc.LstmParams(3, 4, rng, graph_dim=2)
         x = ad.constant(rng.uniform(-2, 2, (6, 3)))
         g = ad.constant(rng.uniform(-2, 2, (6, 2)))
-        _, a_w, q_w = rc.expand_cell_state(x, g, p, 5, return_weights=True)
+        _, a_w, q_w = reference.expand_cell_state(x, g, p, 5, return_weights=True)
         for w in a_w + q_w:
             assert np.all(w.data > 0.0) and np.all(w.data < 1.0)
 
@@ -347,16 +318,14 @@ def _step_chain(x, g, fwd, bwd, lengths=LENGTHS):
         halves, gates = [], {}
         for side, p in enumerate((fwd, bwd)):
             order = range(n - 1, -1, -1) if side else range(n)
-            state = rc.zero_state(1, p.hidden)
+            state = reference.zero_state(1, p.hidden)
             hs = [None] * n
             for t in order:
                 idx = np.array([b * n_max + t])
                 trace = {}
-                if g is None:
-                    state = rc.plain_step(ad.rows(x, idx), state, p, trace)
-                else:
-                    state = rc.graph_step(ad.rows(x, idx), ad.rows(g, idx),
-                                          state, p, trace)
+                state = reference.step(ad.rows(x, idx),
+                                       None if g is None else ad.rows(g, idx),
+                                       state, p, trace)
                 hs[t] = state.h
                 for gate, value in trace.items():
                     gates.setdefault(gate, np.empty((n, 2, p.hidden)))[t, side] = value[0]
@@ -464,16 +433,11 @@ class TestKernel:
         # Padded rows carry weight too: they are constant zeros, so their
         # weight must reach nothing.
         weights = ad.constant(rng.normal(size=(x.data.shape[0], 8)))
-        params = {f"{side}.{name}": t for side, p in (("fwd", fwd), ("bwd", bwd))
-                  for name, t in p.parameters().items()}
-        params["x"] = x
-        if g is not None:
-            params["g"] = g
 
         def loss():
             return (_run(x, g, fwd, bwd) * weights).sum()
 
-        report = check_gradients(loss, params, step=1e-5, floor=1e-3)
+        report = check_gradients(loss, _tracked(fwd, bwd, x, g), step=1e-5, floor=1e-3)
         assert report.max_rel_err < 1e-4, report.per_param
 
     @pytest.mark.parametrize("graph", [True, False], ids=["graph", "plain"])
@@ -514,15 +478,13 @@ class TestKernel:
     def test_final_state_gradients_match_finite_differences(self):
         fwd, bwd, x, _, rng = _kernel_case(False, seed=23)
         weights = ad.constant(rng.normal(size=(len(LENGTHS), 8)))
-        params = {f"{side}.{name}": t for side, p in (("fwd", fwd), ("bwd", bwd))
-                  for name, t in p.parameters().items()}
-        params["x"] = x
 
         def loss():
             return (rc.bidirectional(x, None, LENGTHS, fwd, bwd, final=True)
                     * weights).sum()
 
-        report = check_gradients(loss, params, step=1e-5, floor=1e-3)
+        report = check_gradients(loss, _tracked(fwd, bwd, x, None), step=1e-5,
+                                 floor=1e-3)
         assert report.max_rel_err < 1e-4, report.per_param
 
     def test_final_states_are_last_real_positions(self):

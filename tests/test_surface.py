@@ -1,9 +1,12 @@
-"""Every name the package defines is reached by the package or the benchmark.
+"""Every name the package defines is reached by the package or the benchmark,
+and every reference in ``tests/reference.py`` is reached by a test.
 
 A top-level function or class, or a public method, that only tests call is
 dead weight in ``src/syntag``: the test belongs with a reference copy in
-``tests/``, or the name goes. The declared oracles below are the exception,
-because the tests compare the production paths against them.
+``tests/reference.py``, or the name goes. The one declared oracle,
+``crf.viterbi``, is the per-sentence reference the tests hold
+``viterbi_batch`` against. The benchmark's traced predict also calls it
+today; the declaration keeps it in the package once that call goes.
 
 A name counts as reached when it appears as an ``ast.Name``, an
 ``ast.Attribute`` or an import alias anywhere in ``src/syntag/*.py`` or
@@ -20,15 +23,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "syntag").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 
-ORACLES = frozenset({
-    "viterbi",                # crf: per-sentence reference for viterbi_batch
-    "brute_force",            # crf: enumeration oracle for logZ and argmax
-    "brute_force_marginals",  # crf: enumeration oracle for marginals
-    "graph_step",             # recurrent: per-step reference for the kernel
-    "plain_step",
-    "zero_state",
-    "expand_cell_state",      # recurrent: closed-form cell-state oracle
-})
+ORACLES = frozenset({"viterbi"})  # crf: per-sentence reference for viterbi_batch
+TESTS = sorted((ROOT / "tests").glob("test_*.py"))
+REFERENCE = ROOT / "tests" / "reference.py"
 
 
 def _definitions(path):
@@ -64,3 +61,18 @@ def test_every_definition_is_reached_outside_tests():
         for path in PACKAGE for name in _definitions(path)
         if name.rpartition(".")[2] not in reached | ORACLES)
     assert unreached == []
+
+
+def test_every_reference_is_used_by_a_test():
+    """A reference nothing tests against has stopped checking anything.
+
+    Public names must be reached from a ``tests/test_*.py`` module; private
+    helpers from ``tests/reference.py`` itself.
+    """
+    assert TESTS
+    reached = _references(TESTS)
+    helpers = _references([REFERENCE])
+    unused = sorted(
+        name for name in _definitions(REFERENCE) if "." not in name
+        and name not in (helpers if name.startswith("_") else reached))
+    assert unused == []
