@@ -12,13 +12,13 @@ this package. Design points:
   Python (loops over timesteps of varying length are fine).
 * relu has derivative 0 at exactly 0.
 
-A minimal example::
+A minimal example; the scalar loss is an op of its own, built on ``record``::
 
     w = Tensor(np.ones((3, 2)), requires_grad=True)
     x = constant(rng.normal(size=(2, 4)))
-    with Tape() as tape:
+    with Tape():
         y = relu(matmul(w, x))
-        loss = y.sum()
+        loss = record(Tensor(y.data.sum()), (y,), lambda g: (np.full((3, 4), g),))
     backward(loss)
     # w.grad now holds d loss / d w
 """
@@ -36,15 +36,12 @@ __all__ = [
     "backward",
     "clear_grads",
     "add",
-    "sub",
     "mul",
     "matmul",
     "bmm_const",
     "relu",
     "concat",
-    "reshape",
     "rows",
-    "take",
     "record",
     "recording",
 ]
@@ -68,35 +65,14 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._tape = None
 
-    def sum(self, axis=None, keepdims=False):
-        return _sum(self, axis=axis, keepdims=keepdims)
-
     def item(self):
         return float(self.data)
 
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __neg__(self):
-        return mul(self, _wrap(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -245,17 +221,6 @@ def add(a, b):
     return record(out, (a, b), bk)
 
 
-def sub(a, b):
-    a, b = _wrap(a), _wrap(b)
-    _broadcast_check(a, b, "sub")
-    out = Tensor(a.data - b.data)
-
-    def bk(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return record(out, (a, b), bk)
-
-
 def mul(a, b):
     a, b = _wrap(a), _wrap(b)
     _broadcast_check(a, b, "mul")
@@ -291,26 +256,24 @@ def matmul(a, b):
 
 
 def bmm_const(mats, a):
-    """Batched product ``mats @ a`` where ``mats`` is a constant ndarray.
+    """Per-sentence product ``mats[b] @ a_b`` where ``mats`` is a constant ndarray.
 
-    mats has shape (B, n, m) and a has shape (B, m, k). Used for sparse-ish
+    mats has shape (B, n, m); a holds B blocks of m rows, (B * m, k)
+    sentence-major, and the result B blocks of n rows, (B * n, k). Used for
     aggregation with per-sentence adjacency matrices; only ``a`` carries
     gradients, the matrices are data.
     """
     mats = np.asarray(mats, dtype=np.float64)
-    if mats.ndim != 3 or a.data.ndim != 3:
+    if (mats.ndim != 3 or a.data.ndim != 2
+            or a.data.shape[0] != mats.shape[0] * mats.shape[2]):
         raise DimensionError(
-            f"bmm_const expects 3-D operands, got {mats.shape} and {a.data.shape}"
-        )
-    if mats.shape[0] != a.data.shape[0] or mats.shape[2] != a.data.shape[1]:
-        raise DimensionError(
-            f"bmm_const: incompatible shapes {mats.shape} and {a.data.shape}"
-        )
-    out = Tensor(np.matmul(mats, a.data))
+            f"bmm_const: a {mats.shape} stack does not fit rows {a.data.shape}")
+    (batch, n, m), k = mats.shape, a.data.shape[1]
+    out = Tensor(np.matmul(mats, a.data.reshape(batch, m, k)).reshape(batch * n, k))
     mats_t = mats.swapaxes(1, 2)
 
     def bk(g):
-        return (np.matmul(mats_t, g),)
+        return (np.matmul(mats_t, g.reshape(batch, n, k)).reshape(batch * m, k),)
 
     return record(out, (a,), bk)
 
@@ -330,12 +293,6 @@ def concat(tensors, axis=0):
     tensors = [_wrap(t) for t in tensors]
     if not tensors:
         raise ContractError("concat needs at least one tensor")
-    nd = tensors[0].data.ndim
-    for t in tensors[1:]:
-        if t.data.ndim != nd:
-            raise DimensionError(
-                f"concat: rank mismatch {tensors[0].data.shape} vs {t.data.shape}"
-            )
     try:
         out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     except ValueError:
@@ -350,35 +307,6 @@ def concat(tensors, axis=0):
         return tuple(np.split(g, offsets, axis=axis))
 
     return record(out, tuple(tensors), bk)
-
-
-def reshape(a, shape):
-    in_shape = a.data.shape
-    try:
-        out = Tensor(a.data.reshape(shape))
-    except ValueError:
-        raise DimensionError(f"cannot reshape {in_shape} to {shape}") from None
-
-    def bk(g):
-        return (g.reshape(in_shape),)
-
-    return record(out, (a,), bk)
-
-
-def _sum(a, axis=None, keepdims=False):
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-    in_shape = a.data.shape
-
-    def bk(g):
-        if axis is None:
-            return (np.broadcast_to(g, in_shape).copy(),)
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        ax = tuple(a_ % len(in_shape) for a_ in ax)
-        if not keepdims:
-            g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g, in_shape).copy(),)
-
-    return record(out, (a,), bk)
 
 
 def rows(a, idx):
@@ -412,25 +340,5 @@ def rows(a, idx):
         da = np.zeros(in_shape, dtype=np.float64)
         da[targets] = np.add.reduceat(g[order], starts, axis=0)
         return (da,)
-
-    return record(out, (a,), bk)
-
-
-def take(a, flat_idx):
-    """Gather arbitrary elements by flat (C-order) index into a 1-D tensor."""
-    flat_idx = np.asarray(flat_idx, dtype=np.intp)
-    if flat_idx.ndim != 1:
-        raise DimensionError(f"take expects a 1-D index array, got shape {flat_idx.shape}")
-    if flat_idx.size and (flat_idx.min() < 0 or flat_idx.max() >= a.data.size):
-        raise ContractError(
-            f"take: flat index out of range for tensor with {a.data.size} elements"
-        )
-    out = Tensor(a.data.ravel()[flat_idx])
-    in_shape = a.data.shape
-
-    def bk(g):
-        da = np.zeros(a.data.size, dtype=np.float64)
-        np.add.at(da, flat_idx, g)
-        return (da.reshape(in_shape),)
 
     return record(out, (a,), bk)

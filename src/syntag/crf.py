@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, constant, matmul, record, take
+from .autodiff import Tensor, constant, matmul, record
 from .data import tag_may_follow
 from .errors import ContractError, DimensionError
 from .initializers import glorot, zeros
@@ -109,21 +109,17 @@ def _logsumexp(x):
     return np.squeeze(out, axis=1), e / np.where(s > 0.0, s, 1.0)
 
 
-def log_partition_batch(emissions_flat, lengths, trans):
-    """Forward algorithm over a padded batch; returns a (B,) tensor of logZ.
+def log_partition_batch(em, lengths, t):
+    """Forward algorithm on (B, n_max, L) emissions: ((B,) log Z, adjoint).
 
-    emissions_flat is (B * n_max, L) with sentence-major rows; alpha is
-    carried unchanged past each sentence's length. The recursion is one tape
-    node whose backward is forward-backward: it walks the steps in reverse
-    through each step's softmax over the previous label, giving the label
-    marginals as d/d emissions and the expected transition counts, START
-    row and STOP column included, as d/d trans.
+    alpha is carried unchanged past each sentence's length. ``adjoint(g)``
+    maps d/d log Z to (d em, d t) by forward-backward, walking the steps in
+    reverse through each step's softmax over the previous label: g times
+    the label marginals, and the expected transition counts, START row and
+    STOP column included.
     """
-    batch = len(lengths)
-    em = emissions_flat.data.reshape(batch, -1, emissions_flat.data.shape[1])
-    _, n_max, L = em.shape
+    batch, n_max, L = em.shape
     live = np.arange(n_max) < np.asarray(lengths)[:, None]
-    t = trans.data
     alpha = em[:, 0] + t[L, :L]
     weights = np.zeros((batch, n_max, L, L))  # P(y[s-1] = i | y[s] = j)
     for s in range(1, n_max):
@@ -131,7 +127,7 @@ def log_partition_batch(emissions_flat, lengths, trans):
         alpha = np.where(live[:, s, None], lse + em[:, s], alpha)
     log_z, stop_weights = _logsumexp(alpha + t[:L, L + 1])
 
-    def bk(g):
+    def adjoint(g):
         d_trans = np.zeros_like(t)
         d_alpha = g[:, None] * stop_weights
         d_trans[:L, L + 1] = d_alpha.sum(axis=0)
@@ -143,46 +139,54 @@ def log_partition_batch(emissions_flat, lengths, trans):
         d_em[:, 0] = d_alpha
         d_trans[L, :L] = d_alpha.sum(axis=0)
         d_trans[:L, :L] = np.einsum("bsij,bsj->ij", weights, d_em)
-        return d_em.reshape(emissions_flat.data.shape), d_trans
+        return d_em, d_trans
 
-    return record(Tensor(log_z), (emissions_flat, trans), bk)
-
-
-def score_batch(emissions_flat, lengths, trans, gold_ids):
-    """Summed gold-path scores over a batch; returns a scalar tensor.
-
-    gold_ids is an integer (B, n_max) array; entries beyond each length are
-    ignored. Label ids must be valid.
-    """
-    lengths = np.asarray(lengths)
-    batch = len(lengths)
-    L = emissions_flat.data.shape[1]
-    full = L + 2
-    n_max = emissions_flat.data.shape[0] // batch
-    gold_ids = np.asarray(gold_ids)
-    if gold_ids.shape != (batch, n_max):
-        raise DimensionError(
-            f"gold ids shape {gold_ids.shape}, expected {(batch, n_max)}"
-        )
-    em_idx = []
-    tr_idx = []
-    for b, n in enumerate(lengths):
-        y = gold_ids[b, :n]
-        if y.size and (y.min() < 0 or y.max() >= L):
-            raise ContractError(f"label id out of range in sentence {b}")
-        em_idx.extend((b * n_max + np.arange(n)) * L + y)
-        tr_idx.append(L * full + y[0])
-        tr_idx.extend(y[:-1] * full + y[1:])
-        tr_idx.append(y[-1] * full + (L + 1))
-    total = take(emissions_flat, np.array(em_idx, dtype=np.intp)).sum()
-    return total + take(trans, np.array(tr_idx, dtype=np.intp)).sum()
+    return log_z, adjoint
 
 
 def nll_batch(emissions_flat, lengths, trans, gold_ids):
-    """Mean negative log likelihood per sentence over the batch."""
-    log_z = log_partition_batch(emissions_flat, lengths, trans).sum()
-    gold = score_batch(emissions_flat, lengths, trans, gold_ids)
-    return (log_z - gold) * (1.0 / len(lengths))
+    """Mean negative log likelihood per sentence, as one tape node.
+
+    emissions_flat is (B * n_max, L) with sentence-major rows; gold_ids is
+    an integer (B, n_max) array whose entries beyond each length are
+    ignored. The loss is the mean of log Z minus the gold-path score. Its
+    backward scales by g / B: the label marginals minus the gold one-hot
+    for the emissions, the expected minus the gold transition counts for
+    ``trans``.
+    """
+    lengths = np.asarray(lengths)
+    batch = len(lengths)
+    em = emissions_flat.data.reshape(batch, -1, emissions_flat.data.shape[1])
+    _, n_max, L = em.shape
+    gold_ids = np.asarray(gold_ids)
+    if gold_ids.shape != (batch, n_max):
+        raise DimensionError(
+            f"gold ids shape {gold_ids.shape}, expected {(batch, n_max)}")
+    live = np.arange(n_max) < lengths[:, None]
+    bad = np.flatnonzero((live & ((gold_ids < 0) | (gold_ids >= L))).any(axis=1))
+    if bad.size:
+        raise ContractError(f"label id out of range in sentence {bad[0]}")
+    log_z, adjoint = log_partition_batch(em, lengths, trans.data)
+    # The gold path in sentence-major order: y_s at each live position, and
+    # START -> y_0, y_{s-1} -> y_s, y_{n-1} -> STOP at pair columns s <= n.
+    y = np.where(live, gold_ids, 0)
+    em_at = np.nonzero(live) + (y[live],)
+    steps = np.arange(n_max + 1)
+    pairs = steps <= lengths[:, None]
+    nxt = np.where(steps == lengths[:, None], L + 1, np.pad(y, ((0, 0), (0, 1))))
+    tr_at = (np.pad(y, ((0, 0), (1, 0)), constant_values=L)[pairs], nxt[pairs])
+    gold = em[em_at].sum() + trans.data[tr_at].sum()
+    loss = (log_z.sum() - gold) * (1.0 / batch)
+
+    def bk(g):
+        scale = g * (1.0 / batch)
+        d_em, d_trans = adjoint(np.full(batch, scale))
+        d_em[em_at] -= scale
+        gold_counts = np.zeros_like(d_trans)  # repeated bigrams add up here
+        np.add.at(gold_counts, tr_at, -scale)
+        return d_em.reshape(emissions_flat.data.shape), d_trans + gold_counts
+
+    return record(Tensor(loss), (emissions_flat, trans), bk)
 
 
 def _as_arrays(lattice, trans):
@@ -265,7 +269,6 @@ __all__ = [
     "scheme_constraint_mask",
     "emissions_from_hidden",
     "log_partition_batch",
-    "score_batch",
     "nll_batch",
     "viterbi",
     "viterbi_batch",

@@ -340,10 +340,24 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, d):
-        try:
-            return cls(d["words"], d["chars"], d["pos_tags"], d["deprels"], d["labels"])
-        except KeyError as exc:
-            raise FormatError(f"vocabulary block missing key {exc}") from None
+        """Rebuild from ``to_dict`` output; FormatError names a bad map.
+
+        Each map takes strings to the ids 0..n-1, each once; every map but
+        the labels gives PAD id 0 and UNK id 1.
+        """
+        names = ("words", "chars", "pos_tags", "deprels", "labels")
+        for name in names:
+            m = d.get(name)
+            if not isinstance(m, dict) or not all(
+                    isinstance(k, str) and type(v) is int for k, v in m.items()):
+                raise FormatError(f"vocabulary map {name!r} is missing or not str -> int")
+            if sorted(m.values()) != list(range(len(m))):
+                raise FormatError(
+                    f"vocabulary map {name!r} ids are not exactly 0..{len(m) - 1}")
+            if name != "labels" and (m.get(PAD), m.get(UNK)) != (0, 1):
+                raise FormatError(
+                    f"vocabulary map {name!r} must give {PAD} id 0 and {UNK} id 1")
+        return cls(*(d[name] for name in names))
 
     def __eq__(self, other):
         return isinstance(other, Vocabulary) and self.to_dict() == other.to_dict()
@@ -415,6 +429,8 @@ def load_embeddings(path, vocab, rng):
                 vectors[token] = np.array([float(v) for v in values])
             except ValueError:
                 raise FormatError(f"line {line_no}: non-numeric vector value") from None
+            if not np.isfinite(vectors[token]).all():
+                raise FormatError(f"line {line_no}: non-finite vector value")
     if dim is None:
         raise FormatError("embedding file contains no vectors")
     matrix = embedding_table(rng, len(vocab.words), dim).data

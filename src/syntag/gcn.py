@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import bmm_const, matmul, relu, reshape
+from .autodiff import bmm_const, matmul, relu
 from .errors import DimensionError
 from .initializers import glorot, zeros
 
@@ -67,12 +67,10 @@ def encode_batch(g0_flat, adj_norm, params, self_only=False):
     g0_flat is (B * n_max, D); adj_norm is the (B, n_max, n_max) stack from
     batch_normalized_adjacency. Returns (B * n_max, H).
     """
-    batch, n_max = adj_norm.shape[0], adj_norm.shape[1]
     g = g0_flat
     for w, b in zip(params.weights, params.biases):
         msg = matmul(g, w)
         if not self_only:
-            msg3 = reshape(msg, (batch, n_max, w.data.shape[1]))
-            msg = reshape(bmm_const(adj_norm, msg3), (batch * n_max, w.data.shape[1]))
+            msg = bmm_const(adj_norm, msg)
         g = relu(msg + b)
     return g

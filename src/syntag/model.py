@@ -18,6 +18,7 @@ the CRF, and the loss.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,9 @@ class ModelConfig:
                 raise ContractError(f"{name} must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError("dropout must be in [0, 1)")
+        for name in ("lr", "decay", "l2", "clip_norm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractError(f"{name} must be finite")
         if self.lr <= 0.0:
             raise ContractError("lr must be positive")
         if self.decay < 0.0 or self.l2 < 0.0 or self.clip_norm < 0.0:
@@ -90,11 +94,13 @@ class ModelConfig:
             raise ContractError("epochs must be >= 0")
         if self.min_count < 1:
             raise ContractError("min_count must be >= 1")
+        if self.seed < 0:
+            raise ContractError("seed must be >= 0")
         return self
 
     @classmethod
     def from_file(cls, path):
-        kwargs = {}
+        kwargs, first_line = {}, {}
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -107,6 +113,10 @@ class ModelConfig:
                 key, value = key.strip(), value.strip()
                 if key not in types:
                     raise FormatError(f"{path}:{lineno}: unknown option {key!r}")
+                if key in first_line:
+                    raise FormatError(f"{path}:{lineno}: option {key!r} repeats "
+                                      f"line {first_line[key]}")
+                first_line[key] = lineno
                 try:
                     kwargs[key] = _convert_option(types[key], value)
                 except ValueError:

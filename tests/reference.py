@@ -6,18 +6,22 @@ the same jobs one sentence or one step at a time, from loops and tape ops.
 * ``build_adjacency``, ``gcn_layer``, ``encode``: the GCN over one sentence,
   one layer at a time; check ``gcn.batch_normalized_adjacency`` and
   ``gcn.encode_batch``.
-* ``score_sequence``, ``log_partition``, ``nll``: the batched CRF read
-  through a plain (lattice, transitions, labels) call.
-* ``enumerate_scores``, ``brute_force``: every label sequence of a small
-  lattice; logZ, argmax and marginals from it check the forward algorithm,
-  its forward-backward gradient, ``viterbi`` and ``viterbi_batch``.
-* ``sigmoid``, ``tanh``: tape ops on ``autodiff.record``, checked by finite
-  differences; they feed the cell below.
+* ``log_partition_batch``, ``log_partition``, ``nll``: the CRF forward
+  algorithm as a tape op, and the loss, read through a plain (lattice,
+  transitions, labels) call.
+* ``enumerate_scores``, ``score_sequence``, ``transition_counts``,
+  ``brute_force``: every label sequence of a small lattice; logZ, scores,
+  argmax, marginals and expected transition counts from it check the
+  forward algorithm, the loss and its gradient, ``viterbi`` and
+  ``viterbi_batch``.
+* ``total``, ``sigmoid``, ``tanh``: tape ops on ``autodiff.record``, checked
+  by finite differences; ``total`` makes the tests' scalar losses, the
+  other two feed the cell below.
 * ``step``, ``zero_state``, ``LstmState``: one step of the graph-gated cell,
   or of the plain one when ``p.graph_dim`` is None, reading each gate's
-  weight block through ``take``. A chain of steps checks the outputs, gates
-  and gradients of ``recurrent.bidirectional``; a scalar transcription in
-  ``test_recurrent.py`` checks ``step``.
+  weight block through a column-slice op. A chain of steps checks the
+  outputs, gates and gradients of ``recurrent.bidirectional``; a scalar
+  transcription in ``test_recurrent.py`` checks ``step``.
 * ``expand_cell_state``: c_t as a weighted sum of candidates, never running
   the recurrence for c; checks ``cell_states``, a chain of ``step``.
 * ``decode_spans_lenient``: a hand-written rule per scheme; checks
@@ -34,8 +38,7 @@ import numpy as np
 
 from syntag import crf
 from syntag import recurrent as rc
-from syntag.autodiff import (Tensor, constant, matmul, record, relu, reshape,
-                             rows, take)
+from syntag.autodiff import Tensor, constant, matmul, record, relu, rows
 from syntag.errors import ContractError, DimensionError
 
 
@@ -82,15 +85,32 @@ def encode(g0, adj, params, self_only=False):
     return g
 
 
-def score_sequence(lattice, trans, y):
-    """Score of one label sequence on a single-sentence lattice."""
-    return reshape(
-        crf.score_batch(lattice.emissions, [lattice.n], trans, [y]), ())
+def total(a):
+    """The sum of every element of ``a`` as a scalar tape op."""
+    shape = a.data.shape
+    return record(Tensor(a.data.sum()), (a,), lambda g: (np.full(shape, g),))
+
+
+def log_partition_batch(emissions_flat, lengths, trans):
+    """(B,) logZ of a padded batch as a tape op over ``crf.log_partition_batch``.
+
+    Its backward is that function's adjoint, the one ``nll_batch`` runs.
+    """
+    shape = emissions_flat.data.shape
+    log_z, adjoint = crf.log_partition_batch(
+        emissions_flat.data.reshape(len(lengths), -1, shape[1]), lengths,
+        trans.data)
+
+    def bk(g):
+        d_em, d_trans = adjoint(g)
+        return d_em.reshape(shape), d_trans
+
+    return record(Tensor(log_z), (emissions_flat, trans), bk)
 
 
 def log_partition(lattice, trans):
-    return reshape(
-        crf.log_partition_batch(lattice.emissions, [lattice.n], trans), ())
+    """logZ of one sentence as a scalar tensor."""
+    return total(log_partition_batch(lattice.emissions, [lattice.n], trans))
 
 
 def nll(lattice, trans, gold):
@@ -109,6 +129,20 @@ def enumerate_scores(lattice, trans, size_guard=10 ** 6):
     for s in range(1, n):
         scores = scores + t[seqs[:, s - 1], seqs[:, s]] + em[s, seqs[:, s]]
     return scores + t[seqs[:, -1], L + 1], seqs
+
+
+def score_sequence(lattice, trans, y):
+    """Score of one label sequence, looked up in ``enumerate_scores``."""
+    scores, _ = enumerate_scores(lattice, trans)
+    n, L = crf._as_arrays(lattice, trans)[0].shape
+    return scores[np.ravel_multi_index(y, (L,) * n)]
+
+
+def transition_counts(seq, L):
+    """(L+2, L+2) counts of one sequence's bigrams, START and STOP included."""
+    counts = np.zeros((L + 2, L + 2))
+    np.add.at(counts, ([L, *seq], [*seq, L + 1]), 1.0)
+    return counts
 
 
 def brute_force(lattice, trans):
@@ -151,11 +185,14 @@ def zero_state(batch, hidden):
 def _block(p, stream, gate):
     """One gate's block of a stacked tensor as a differentiable (rows, H) view."""
     t = p.stacked(stream)
-    cols = np.arange(t.data.shape[-1])[p.columns(stream, gate)]
-    if t.data.ndim == 1:
-        return take(t, cols)
-    flat = np.arange(t.data.shape[0])[:, None] * t.data.shape[1] + cols
-    return reshape(take(t, flat.ravel()), (t.data.shape[0], p.hidden))
+    cols = p.columns(stream, gate)
+
+    def bk(g):
+        d = np.zeros_like(t.data)
+        d[..., cols] = g
+        return (d,)
+
+    return record(Tensor(t.data[..., cols]), (t,), bk)
 
 
 def _activations(p, x, g, h):
@@ -212,8 +249,8 @@ def expand_cell_state(x_seq, g_seq, params, t, return_weights=False):
     with c_j taken from the expansion, so the recurrence for c is never
     used.
 
-    x_seq and g_seq are single-sentence (n, D) tensors; returns c_t with
-    shape (H,). With return_weights=True, also returns the lists of weight
+    x_seq and g_seq are single-sentence (n, D) tensors; returns c_t as an
+    (H,) array. With return_weights=True, also returns the lists of weight
     tensors (each (1, H)) for boundedness checks.
     """
     n = x_seq.data.shape[0]
@@ -232,7 +269,7 @@ def expand_cell_state(x_seq, g_seq, params, t, return_weights=False):
         terms = [w * v for w, v in zip(a_weights + q_weights, c_cands + s_cands)]
         c_j = sum(terms[1:], terms[0])
         h = a["o"] * tanh(c_j)
-    c_t = reshape(c_j, (params.hidden,))
+    c_t = c_j.data[0]
     if return_weights:
         return c_t, a_weights, q_weights
     return c_t

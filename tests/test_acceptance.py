@@ -88,7 +88,7 @@ def test_cell_state_expansion_identity():
         g = ad.constant(rng.uniform(-2, 2, (n, dg)))
         refs = reference.cell_states(x, g, params)
         for t in range(n):
-            expanded = reference.expand_cell_state(x, g, params, t).data
+            expanded = reference.expand_cell_state(x, g, params, t)
             worst = max(worst, float(np.max(np.abs(expanded - refs[t]))))
     assert worst <= 1e-10, f"expansion mismatch {worst:.3e}"
     print(f"PASS expansion identity: 100 instances, every position, "

@@ -1,6 +1,8 @@
 """End-to-end command-line tests, all run in process."""
 
+import copy
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -272,6 +274,43 @@ class TestExitCodes:
                      "--data", str(workdir / "dev.tsv")]) == 2
         assert "error: bad checkpoint metadata: config.hidden is '4'" in (
             capsys.readouterr().err)
+
+    def _train(self, workdir, config_path):
+        return main(["train", "--config", str(config_path),
+                     "--train", str(workdir / "train.tsv"),
+                     "--dev", str(workdir / "dev.tsv"),
+                     "--out", str(config_path.with_suffix(".ckpt"))])
+
+    def test_bad_config_values_are_data_errors(self, workdir, tmp_path, capsys):
+        text = (workdir / "model.conf").read_text()
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("fill1 1.0 2.0 3.0 4.0\nfill2 nan inf 1.0 2.0\n")
+        bad = [("seed must be >= 0", re.sub(r"(?m)^seed = .*$", "seed = -1", text)),
+               ("lr must be finite", re.sub(r"(?m)^lr = .*$", "lr = nan", text)),
+               ("'hidden' repeats line 2", text + "hidden = 9\n"),
+               ("line 2: non-finite vector value",
+                re.sub(r"(?m)^embeddings = .*$", f"embeddings = {vectors}", text))]
+        for k, (message, conf) in enumerate(bad):
+            path = tmp_path / f"bad{k}.conf"
+            path.write_text(conf)
+            capsys.readouterr()
+            assert self._train(workdir, path) == 2, message
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err, err
+
+    def test_checkpoint_vocabulary_ids_are_data_errors(self, workdir, tmp_path,
+                                                       capsys):
+        ckpt = load_checkpoint(workdir / "model.ckpt")
+        for k, relabel in enumerate((lambda i: i + 100, lambda i: 0)):
+            vocab = copy.copy(ckpt.vocab)
+            vocab.labels = {name: relabel(i) for name, i in vocab.labels.items()}
+            path = tmp_path / f"vocab{k}.ckpt"
+            save_checkpoint(dataclasses.replace(ckpt, vocab=vocab), path)
+            capsys.readouterr()
+            assert main(["eval", "--model", str(path),
+                         "--data", str(workdir / "dev.tsv")]) == 2
+            assert "error: vocabulary map 'labels' ids are not exactly" in (
+                capsys.readouterr().err)
 
     def test_too_small_corpus_for_split(self, workdir, tmp_path):
         small = tmp_path / "small.tsv"

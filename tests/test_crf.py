@@ -29,6 +29,8 @@ def _random_instance(rng, n, L):
 
 
 class TestScoreSequence:
+    """The enumeration oracle's path scores, and the loss's label check."""
+
     def test_single_token_zero_transitions(self):
         lat = crf.TagLattice(1, ad.constant([[2.0, 5.0]]))
         score = reference.score_sequence(lat, _zero_trans(2), [1])
@@ -54,8 +56,8 @@ class TestScoreSequence:
 
     def test_label_out_of_range(self):
         lat = crf.TagLattice(1, ad.constant([[0.0, 0.0]]))
-        with pytest.raises(ContractError):
-            reference.score_sequence(lat, _zero_trans(2), [5])
+        with pytest.raises(ContractError, match="sentence 0"):
+            reference.nll(lat, _zero_trans(2), [5])
 
 
 def _tied_arrays(data, em_shape, L):
@@ -302,7 +304,7 @@ def _padded_case(rng, lengths, L, n_max=None, constrained=False):
 
 
 class TestForwardBackwardNode:
-    """log_partition_batch is one tape node; its backward is forward-backward."""
+    """log_partition_batch's adjoint is forward-backward; the loss is one node."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -317,8 +319,8 @@ class TestForwardBackwardNode:
                              constrained)
         with ad.Tape():
             trans = p.effective_transitions()
-            log_z = crf.log_partition_batch(em, lengths, trans)
-            total = log_z.sum()
+            log_z = reference.log_partition_batch(em, lengths, trans)
+            total = reference.total(log_z)
         ad.backward(total)
         grad = em.grad.reshape(len(lengths), n_max, L)
         rows = em.data.reshape(len(lengths), n_max, L)
@@ -339,7 +341,8 @@ class TestForwardBackwardNode:
 
         def loss():
             trans = p.effective_transitions()
-            return (w * crf.log_partition_batch(em, lengths, trans)).sum()
+            return reference.total(
+                w * reference.log_partition_batch(em, lengths, trans))
 
         report = check_gradients(
             loss, {"em": em, "transitions": p.transitions}, step=1e-6, floor=1.0)
@@ -361,8 +364,8 @@ class TestForwardBackwardNode:
         em.data *= 100.0
         with ad.Tape():
             trans = p.effective_transitions()
-            log_z = crf.log_partition_batch(em, lengths, trans)
-            total = log_z.sum()
+            log_z = reference.log_partition_batch(em, lengths, trans)
+            total = reference.total(log_z)
         ad.backward(total)
         grad = em.grad.reshape(2, 4, 3)
         for b, n in enumerate(lengths):
@@ -383,7 +386,55 @@ class TestForwardBackwardNode:
             with ad.Tape() as tape:
                 crf.nll_batch(em, lengths, p.effective_transitions(), gold)
             counts.append(len(tape._nodes))
-        assert counts[0] == counts[1]
+        assert counts == [2, 2]  # effective_transitions' add, then the loss
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_loss_and_gradients_match_enumeration(self, data):
+        """nll_batch against every label sequence of each sentence.
+
+        Batches mix lengths and padding; the first gold path repeats the
+        bigram (0, 0), and gold transitions repeat across sentences too.
+        """
+        constrained = data.draw(st.booleans(), label="constrained")
+        L = 5 if constrained else data.draw(st.integers(1, 3), label="L")
+        lengths = [data.draw(st.integers(3, 4), label="repeat length")]
+        lengths += data.draw(st.lists(st.integers(1, 4), max_size=2),
+                             label="lengths")
+        n_max = max(lengths) + data.draw(st.integers(0, 1), label="extra")
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        em, p = _padded_case(np.random.default_rng(seed), lengths, L, n_max,
+                             constrained)
+        trans = ad.Tensor(p.effective_transitions().data, requires_grad=True)
+        rows = em.data.reshape(len(lengths), n_max, L)
+        gold = np.zeros((len(lengths), n_max), dtype=int)
+        want_loss, want_em = 0.0, np.zeros_like(rows)
+        want_trans = np.zeros_like(trans.data)
+        for b, n in enumerate(lengths):
+            lat = crf.TagLattice(n, ad.constant(rows[b, :n]))
+            scores, seqs = reference.enumerate_scores(lat, trans)
+            log_z, _, marg = reference.brute_force(lat, trans)
+            # Label 0 (O when constrained) may follow itself, START and STOP.
+            k = 0 if b == 0 else data.draw(
+                st.sampled_from(np.flatnonzero(np.isfinite(scores)).tolist()),
+                label="gold")
+            gold[b, :n] = seqs[k]
+            weights = np.exp(scores - log_z)
+            expected = sum(w * reference.transition_counts(seq, L)
+                           for w, seq in zip(weights, seqs) if w > 0.0)
+            want_loss += log_z - scores[k]
+            want_em[b, :n] = marg - (np.arange(L) == seqs[k][:, None])
+            want_trans += expected - reference.transition_counts(seqs[k], L)
+        batch = len(lengths)
+        with ad.Tape():
+            loss = crf.nll_batch(em, lengths, trans, gold)
+        ad.backward(loss)
+        np.testing.assert_allclose(loss.item(), want_loss / batch, rtol=0,
+                                   atol=1e-10)
+        np.testing.assert_allclose(em.grad.reshape(rows.shape), want_em / batch,
+                                   rtol=0, atol=1e-10)
+        np.testing.assert_allclose(trans.grad, want_trans / batch, rtol=0,
+                                   atol=1e-10)
 
 
 class TestSchemeConstraints:

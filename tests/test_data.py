@@ -331,6 +331,19 @@ class TestVocabulary:
         clone = data.Vocabulary.from_dict(vocab.to_dict())
         assert clone == vocab
 
+    def test_from_dict_rejects_ids_that_are_not_dense(self):
+        good = data.build_vocab(self._corpus()).to_dict()
+        bad = [("labels", {k: v + 100 for k, v in good["labels"].items()}),
+               ("labels", {k: 0 for k in good["labels"]}),
+               ("words", {**good["words"], "extra": 1}),
+               ("chars", {k: len(good["chars"]) - 1 - v
+                          for k, v in good["chars"].items()}),  # PAD not 0
+               ("pos_tags", {**good["pos_tags"], "NN": "2"}),
+               ("deprels", [["root", 0]])]
+        for name, m in bad:
+            with pytest.raises(FormatError, match=f"vocabulary map '{name}'"):
+                data.Vocabulary.from_dict({**good, name: m})
+
 
 class TestEmbeddings:
     def test_copies_known_rows(self, tmp_path):
@@ -358,6 +371,14 @@ class TestEmbeddings:
         path = _write(tmp_path, "2 3\na 1 2 3\nb 4 5 6\n", "emb.txt")
         m = data.load_embeddings(path, vocab, np.random.default_rng(0))
         np.testing.assert_allclose(m[vocab.word_id("a")], [1, 2, 3])
+
+    def test_non_finite_value_raises_with_line(self, tmp_path):
+        corpus = [data.Sentence(["a"], ["X"], [0], ["root"], ["O"])]
+        vocab = data.build_vocab(corpus)
+        for bad in ("nan 1.0", "inf 1.0", "1.0 -inf"):
+            path = _write(tmp_path, f"a 1.0 2.0\nb {bad}\n", "emb.txt")
+            with pytest.raises(FormatError, match="line 2: non-finite"):
+                data.load_embeddings(path, vocab, np.random.default_rng(0))
 
     def test_inconsistent_dim_raises_with_line(self, tmp_path):
         corpus = [data.Sentence(["a"], ["X"], [0], ["root"], ["O"])]

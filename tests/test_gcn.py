@@ -203,7 +203,7 @@ class TestEncodeProperties:
         g0 = ad.constant(rng.uniform(-1, 1, (3, 3)))
 
         def loss():
-            return reference.encode(g0, adj, params).sum()
+            return reference.total(reference.encode(g0, adj, params))
 
         report = check_gradients(loss, params.parameters(), step=1e-6, floor=1e-3)
         assert report.max_rel_err < 1e-6, report.per_param

@@ -64,6 +64,12 @@ class TestConfig:
             ModelConfig(drop="everything").validate()
         with pytest.raises(ContractError):
             ModelConfig(lr=0.0).validate()
+        with pytest.raises(ContractError, match="seed"):
+            ModelConfig(seed=-1).validate()
+        for name in ("lr", "decay", "l2", "clip_norm"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ContractError, match=f"{name} must be finite"):
+                    ModelConfig(**{name: value}).validate()
 
     def test_text_round_trip(self, tmp_path):
         c = ModelConfig(variant="bilstm-crf", hidden=17, dropout=0.25,
@@ -102,6 +108,12 @@ class TestConfig:
         path = tmp_path / "model.conf"
         path.write_text("hidden = twelve\n")
         with pytest.raises(FormatError, match="twelve"):
+            ModelConfig.from_file(path)
+
+    def test_file_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "model.conf"
+        path.write_text("hidden = 12\n# comment\nhidden = 13\n")
+        with pytest.raises(FormatError, match=r":3: option 'hidden' repeats line 1"):
             ModelConfig.from_file(path)
 
     def test_file_missing_equals(self, tmp_path):

@@ -225,7 +225,7 @@ class TestExpansionIdentity:
         p = rc.LstmParams(3, 4, rng, graph_dim=2)
         x = ad.constant(rng.uniform(-1, 1, (3, 3)))
         g = ad.constant(rng.uniform(-1, 1, (3, 2)))
-        c0 = reference.expand_cell_state(x, g, p, 0).data
+        c0 = reference.expand_cell_state(x, g, p, 0)
         ref = reference.cell_states(x, g, p)[0]
         np.testing.assert_allclose(c0, ref, atol=1e-12)
 
@@ -236,7 +236,7 @@ class TestExpansionIdentity:
         g = ad.constant(rng.uniform(-1, 1, (4, 2)))
         for t in range(4):
             np.testing.assert_array_equal(
-                reference.expand_cell_state(x, g, p, t).data, 0.0)
+                reference.expand_cell_state(x, g, p, t), 0.0)
 
     def test_expansion_matches_recurrence_many_instances(self):
         rng = np.random.default_rng(13)
@@ -250,7 +250,7 @@ class TestExpansionIdentity:
             g = ad.constant(rng.uniform(-2, 2, (n, dg)))
             ref = reference.cell_states(x, g, p)
             for t in range(n):
-                got = reference.expand_cell_state(x, g, p, t).data
+                got = reference.expand_cell_state(x, g, p, t)
                 assert np.max(np.abs(got - ref[t])) < 1e-10
 
     def test_expansion_weights_bounded(self):
@@ -271,7 +271,7 @@ class TestCellGradients:
         g = ad.constant(rng.uniform(-1, 1, (4, 2)))
 
         def loss():
-            return rc.bidirectional(x, g, [4], p, p).sum()
+            return reference.total(rc.bidirectional(x, g, [4], p, p))
 
         report = check_gradients(loss, p.parameters(), step=1e-5, floor=1e-3)
         assert report.max_rel_err < 1e-4, report.per_param
@@ -380,10 +380,10 @@ def _check_against_chain(graph, lengths, seed):
     def kernel_loss():
         out = _run(x, g, fwd, bwd, lengths)
         final = rc.bidirectional(x, g, lengths, fwd, bwd, final=True)
-        return sum((ad.rows(out, np.arange(b * n_max, b * n_max + n))
-                    * ad.constant(w)).sum()
-                   for b, (n, w) in enumerate(zip(lengths, weights))) + (
-            final * ad.constant(final_weights)).sum()
+        return sum((reference.total(
+            ad.rows(out, np.arange(b * n_max, b * n_max + n)) * ad.constant(w))
+                    for b, (n, w) in enumerate(zip(lengths, weights))),
+                   reference.total(final * ad.constant(final_weights)))
 
     # The final states are the chain's row n - 1 (forward) and row 0
     # (reverse), so their weights fold into those rows.
@@ -394,7 +394,9 @@ def _check_against_chain(graph, lengths, seed):
 
     def chain_loss():
         outs, _ = _step_chain(x, g, fwd, bwd, lengths)
-        return sum((o * ad.constant(w)).sum() for o, w in zip(outs, chain_weights))
+        terms = [reference.total(o * ad.constant(w))
+                 for o, w in zip(outs, chain_weights)]
+        return sum(terms[1:], terms[0])
 
     got, want = _grads(tracked, kernel_loss), _grads(tracked, chain_loss)
     for name in tracked:
@@ -435,7 +437,7 @@ class TestKernel:
         weights = ad.constant(rng.normal(size=(x.data.shape[0], 8)))
 
         def loss():
-            return (_run(x, g, fwd, bwd) * weights).sum()
+            return reference.total(_run(x, g, fwd, bwd) * weights)
 
         report = check_gradients(loss, _tracked(fwd, bwd, x, g), step=1e-5, floor=1e-3)
         assert report.max_rel_err < 1e-4, report.per_param
@@ -456,7 +458,8 @@ class TestKernel:
 
         def loss():
             final = rc.bidirectional(x, g, LENGTHS, fwd, bwd, final=True)
-            return (_run(x, g, fwd, bwd) * weights).sum() + (final * final_weights).sum()
+            return (reference.total(_run(x, g, fwd, bwd) * weights)
+                    + reference.total(final * final_weights))
 
         for name, grad in _grads(tracked, loss).items():
             assert np.isfinite(grad).all(), name
@@ -470,8 +473,8 @@ class TestKernel:
         np.testing.assert_array_equal(_run(x, g, fwd, bwd).data[padded], 0.0)
         weights = rng.normal(size=(x.data.shape[0], 8)) * padded[:, None]
         tracked = _tracked(fwd, bwd, x, g)
-        grads = _grads(tracked, lambda: (_run(x, g, fwd, bwd)
-                                         * ad.constant(weights)).sum())
+        grads = _grads(tracked, lambda: reference.total(
+            _run(x, g, fwd, bwd) * ad.constant(weights)))
         for name, grad in grads.items():
             np.testing.assert_array_equal(grad, 0.0, err_msg=name)
 
@@ -480,8 +483,8 @@ class TestKernel:
         weights = ad.constant(rng.normal(size=(len(LENGTHS), 8)))
 
         def loss():
-            return (rc.bidirectional(x, None, LENGTHS, fwd, bwd, final=True)
-                    * weights).sum()
+            return reference.total(
+                rc.bidirectional(x, None, LENGTHS, fwd, bwd, final=True) * weights)
 
         report = check_gradients(loss, _tracked(fwd, bwd, x, None), step=1e-5,
                                  floor=1e-3)

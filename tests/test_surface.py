@@ -14,6 +14,13 @@ A name counts as reached when it appears as an ``ast.Name``, an
 definition that shares its name with an unrelated attribute (``.encode`` on
 ``str``, ``.values`` on ``dict``) is taken as reached: the check is a lower
 bound on what is unused, not an exact count.
+
+``autodiff`` gets an exact check, because numpy shares names such as
+``sum``, ``reshape`` and ``take`` with ops it could carry: each name in its
+``__all__`` must be read through an import of ``autodiff`` (a bare name
+imported from it, or an attribute of the module) somewhere in the package
+or the benchmark, or inside ``autodiff.py`` outside the name's own
+definition; and ``__all__`` must list exactly its public top-level names.
 """
 
 import ast
@@ -61,6 +68,52 @@ def test_every_definition_is_reached_outside_tests():
         for path in PACKAGE for name in _definitions(path)
         if name.rpartition(".")[2] not in reached | ORACLES)
     assert unreached == []
+
+
+AUTODIFF = ROOT / "src" / "syntag" / "autodiff.py"
+
+
+def _autodiff_reads(path):
+    """autodiff names that ``path`` reads through an import of the module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names, modules = {}, set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        for alias in node.names:
+            local = alias.asname or alias.name
+            if node.module in ("autodiff", "syntag.autodiff"):
+                names[local] = alias.name
+            elif alias.name == "autodiff":
+                modules.add(local)
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in names:
+            reads.add(names[node.id])
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            reads.add(node.attr)
+    return reads
+
+
+def test_autodiff_exports_exactly_what_runs():
+    tree = ast.parse(AUTODIFF.read_text(encoding="utf-8"))
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and node.targets[0].id == "__all__")
+    public = {node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    assert sorted(exported) == sorted(public)
+    reached = set()
+    for path in PACKAGE + BENCH:
+        if path != AUTODIFF:
+            reached |= _autodiff_reads(path)
+    for node in tree.body:  # autodiff's own reads, each outside its definition
+        name = getattr(node, "name", None)
+        reached |= {n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and n.id != name}
+    assert sorted(set(exported) - reached) == []
 
 
 def test_every_reference_is_used_by_a_test():
