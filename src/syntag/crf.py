@@ -109,6 +109,17 @@ def _logsumexp(x):
     return np.squeeze(out, axis=1), e / np.where(s > 0.0, s, 1.0)
 
 
+def _checked_lengths(lengths, shape):
+    """``lengths`` as an array; DimensionError unless it is (B,) and each
+    length is in [1, n_max], for emissions of shape (B, n_max, L)."""
+    lengths = np.asarray(lengths)
+    if lengths.shape != shape[:1] or not lengths.size or lengths.min() < 1 \
+            or lengths.max() > shape[1]:
+        raise DimensionError(
+            f"lengths {lengths.tolist()} do not fit emissions {shape}")
+    return lengths
+
+
 def log_partition_batch(em, lengths, t):
     """Forward algorithm on (B, n_max, L) emissions: ((B,) log Z, adjoint).
 
@@ -149,19 +160,19 @@ def nll_batch(emissions_flat, lengths, trans, gold_ids):
 
     emissions_flat is (B * n_max, L) with sentence-major rows; gold_ids is
     an integer (B, n_max) array whose entries beyond each length are
-    ignored. The loss is the mean of log Z minus the gold-path score. Its
-    backward scales by g / B: the label marginals minus the gold one-hot
-    for the emissions, the expected minus the gold transition counts for
-    ``trans``.
+    ignored, and each of the B lengths lies in [1, n_max]. The loss is the
+    mean of log Z minus the gold-path score. Its backward scales by g / B:
+    the label marginals minus the gold one-hot for the emissions, the
+    expected minus the gold transition counts for ``trans``.
     """
-    lengths = np.asarray(lengths)
-    batch = len(lengths)
-    em = emissions_flat.data.reshape(batch, -1, emissions_flat.data.shape[1])
-    _, n_max, L = em.shape
     gold_ids = np.asarray(gold_ids)
-    if gold_ids.shape != (batch, n_max):
+    flat = emissions_flat.data
+    if gold_ids.ndim != 2 or gold_ids.size * flat.shape[1] != flat.size:
         raise DimensionError(
-            f"gold ids shape {gold_ids.shape}, expected {(batch, n_max)}")
+            f"gold ids shape {gold_ids.shape} does not fit emissions {flat.shape}")
+    em = flat.reshape(gold_ids.shape + flat.shape[1:])
+    batch, n_max, L = em.shape
+    lengths = _checked_lengths(lengths, em.shape)
     live = np.arange(n_max) < lengths[:, None]
     bad = np.flatnonzero((live & ((gold_ids < 0) | (gold_ids >= L))).any(axis=1))
     if bad.size:
@@ -235,11 +246,8 @@ def viterbi_batch(em, lengths, trans):
     """
     em = np.asarray(em)
     t = trans.data if isinstance(trans, Tensor) else np.asarray(trans)
-    lengths = np.asarray(lengths)
+    lengths = _checked_lengths(lengths, em.shape)
     batch, n_max, L = em.shape
-    if lengths.shape != (batch,) or lengths.min() < 1 or lengths.max() > n_max:
-        raise DimensionError(
-            f"lengths {lengths.tolist()} do not fit emissions {em.shape}")
     inner = t[:L, :L]
     stop_col = t[:L, L + 1]
     beta = np.empty((batch, n_max, L))

@@ -17,8 +17,11 @@ the CRF, and the loss.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import math
+import platform
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +38,22 @@ VARIANTS = ("syn-lstm-crf", "bilstm-crf", "gcn-concat-bilstm-crf")
 DROPS = ("gcn-1-layer", "gcn-all", "deprel-embedding", "pos-embedding",
          "original-dependency")
 TREE_SOURCES = ("given", "random", "predicted")
+
+
+@functools.cache
+def _keep_freed_memory():
+    """Keep the memory each step frees in glibc's heap; the mallopt results.
+
+    By default glibc unmaps freed large arrays and trims the heap top, so
+    every training step faults its pages in again. Once per process; a
+    no-op off glibc.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return ()
+    mallopt = ctypes.CDLL(None).mallopt
+    return (mallopt(-3, 32 << 20),  # M_MMAP_THRESHOLD at its 64-bit maximum
+            mallopt(-1, 1 << 30))   # M_TRIM_THRESHOLD
+
 
 @dataclass
 class ModelConfig:
@@ -171,6 +190,7 @@ class SequenceTagger:
 
     def __init__(self, config: ModelConfig, vocab: Vocabulary, rng=None,
                  word_matrix=None):
+        _keep_freed_memory()
         config.validate()
         if rng is None:
             rng = np.random.default_rng(config.seed)
@@ -353,6 +373,8 @@ class SequenceTagger:
         dict collects every batch's gate activations in the same pass, in
         batch order rather than input order (see ``recurrent.bidirectional``).
         """
+        if batch_size < 1:
+            raise ContractError(f"batch_size must be >= 1, got {batch_size}")
         order = sorted(range(len(sentences)), key=lambda i: len(sentences[i]))
         trans = self.crf.effective_transitions()
         names = self.vocab.label_names

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 import reference
 from syntag import autodiff as ad
 from syntag import crf
-from syntag.errors import ContractError
+from syntag.errors import ContractError, DimensionError
 from syntag.gradcheck import check_gradients
 
 
@@ -265,6 +265,26 @@ class TestBatch:
         ad.backward(loss)
         np.testing.assert_array_equal(em.grad[2:], 0.0)
 
+
+    @pytest.mark.parametrize("lengths", [[4, 0], [4, 9], [4], [[4, 4]]])
+    def test_nll_rejects_lengths_that_do_not_fit(self, lengths):
+        rng = np.random.default_rng(15)
+        em = ad.constant(rng.uniform(-1, 1, (2 * 4, 3)))
+        trans = crf.CrfParams(3, 4, rng).effective_transitions()
+        with pytest.raises(DimensionError, match="lengths"):
+            crf.nll_batch(em, lengths, trans, np.zeros((2, 4), dtype=int))
+        with pytest.raises(DimensionError, match="lengths"):
+            crf.viterbi_batch(em.data.reshape(2, 4, 3), lengths, trans)
+
+    def test_nll_one_token_sentence(self):
+        rng = np.random.default_rng(16)
+        em = rng.uniform(-1, 1, (1, 3))
+        trans = crf.CrfParams(3, 4, rng).effective_transitions()
+        t = trans.data
+        loss = crf.nll_batch(ad.constant(em), [1], trans, [[2]]).item()
+        log_z = np.logaddexp.reduce(t[3, :3] + em[0] + t[:3, 4])
+        np.testing.assert_allclose(loss, log_z - (t[3, 2] + em[0, 2] + t[2, 4]),
+                                   rtol=1e-12)
 
     def test_constrained_mixed_lengths_match_single_sentences(self):
         names = ["O", "B-X", "I-X", "E-X", "S-X"]

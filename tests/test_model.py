@@ -1,7 +1,13 @@
 """Model assembly tests: variants, invariances, dropout, configuration."""
 
+import ctypes
 import dataclasses
 import functools
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+import syntag
+from syntag import model as model_mod
 from syntag.autodiff import Tape, backward
 from syntag.data import build_vocab
 from syntag.errors import ContractError, FormatError
@@ -318,6 +326,12 @@ class TestDecoding:
             assert np.array_equal(gate_histogram(one, gate),
                                   gate_histogram(three, gate))
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_predict_rejects_batch_size_below_one(self, batch_size):
+        model, sentences = make_model()
+        with pytest.raises(ContractError, match="batch_size"):
+            model.predict(sentences, batch_size=batch_size)
+
     def test_forward_sentence_trace(self):
         model, sentences = make_model()
         s = sentences[0]
@@ -371,3 +385,79 @@ class TestGradients:
         report = check_model_variant(variant, seed=1, count=2, length=3,
                                      hidden=4)
         assert report.max_rel_err < 1e-4, report.per_param
+
+
+GLIBC = platform.libc_ver()[0] == "glibc"
+
+# Steady-state minor page faults of three paper-size (H = 200) training steps
+# on one padded 16-sentence batch, after two warm-up steps.
+FAULT_PROBE = """
+import resource
+import numpy as np
+from syntag import autodiff as ad
+from syntag.data import build_vocab
+from syntag.model import ModelConfig, SequenceTagger
+from syntag.synthetic import generate_corpus
+
+corpus = generate_corpus(16, seed=0)
+model = SequenceTagger(ModelConfig(seed=0), build_vocab(corpus))
+rng = np.random.default_rng(0)
+
+def step():
+    ad.clear_grads(model.parameters())
+    with ad.Tape():
+        ad.backward(model.loss_batch(corpus, train=True, rng=rng))
+
+for _ in range(2):
+    step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestAllocatorSettings:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        model_mod._keep_freed_memory.cache_clear()
+        yield
+        model_mod._keep_freed_memory.cache_clear()
+
+    @staticmethod
+    def fake_libc(monkeypatch, libc):
+        calls = []
+
+        class FakeLibc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: (libc, "1.2"))
+        monkeypatch.setattr(ctypes, "CDLL", lambda *a, **k: FakeLibc())
+        return calls
+
+    def test_no_calls_off_glibc(self, monkeypatch):
+        calls = self.fake_libc(monkeypatch, "musl")
+        make_model()
+        assert model_mod._keep_freed_memory() == ()
+        assert calls == []
+
+    def test_two_mallopt_calls_once_per_process(self, monkeypatch):
+        calls = self.fake_libc(monkeypatch, "glibc")
+        make_model()
+        make_model(variant="bilstm-crf")
+        assert calls == [(-3, 32 << 20), (-1, 1 << 30)]
+
+    @pytest.mark.skipif(not GLIBC, reason="needs glibc")
+    def test_glibc_accepts_both_settings(self):
+        assert model_mod._keep_freed_memory() == (1, 1)
+
+    @pytest.mark.skipif(not GLIBC, reason="needs glibc")
+    def test_steady_state_train_steps_fault_few_pages(self):
+        src = str(Path(syntag.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
+                             capture_output=True, text=True, timeout=120,
+                             check=True)
+        assert int(out.stdout) < 1000
