@@ -69,10 +69,10 @@ class Tensor:
         return float(self.data)
 
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, other)
 
     def __mul__(self, other):
-        return mul(self, _wrap(other))
+        return mul(self, other)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -116,51 +116,44 @@ class Tape:
         out._tape = self
         self._nodes.append((out, inputs, backward_fn))
 
-    def backward(self, loss):
-        """Run reverse accumulation from ``loss`` through this tape."""
-        if self._consumed:
-            raise StateError("tape already consumed: backward may run once per tape")
-        if not isinstance(loss, Tensor):
-            raise ContractError("backward expects a Tensor loss")
-        if loss.data.shape != ():
-            raise DimensionError(
-                f"backward requires a scalar loss, got shape {loss.data.shape}"
-            )
-        if loss._tape is not self:
-            raise ContractError("loss does not lie on this tape")
-        self._consumed = True
-        loss.grad = np.ones((), dtype=np.float64)
-        for out, inputs, backward_fn in reversed(self._nodes):
-            if out.grad is None:
-                continue
-            grads = backward_fn(out.grad)
-            for inp, g in zip(inputs, grads):
-                if g is None or not inp.requires_grad:
-                    continue
-                # Accumulation always builds a fresh array, so views returned
-                # by backward closures are safe to hold.
-                if inp.grad is None:
-                    inp.grad = g
-                else:
-                    inp.grad = inp.grad + g
-        # Break each out._tape -> tape -> _nodes -> out cycle, so the step's
-        # activations go by reference counting once the tape itself does.
-        for out, _, _ in self._nodes:
-            out._tape = None
-        loss._tape = _SPENT
-
 
 _SPENT = Tape()  # where a loss points once its backward has run
 _SPENT._consumed = True
 
 
 def backward(loss):
-    """Backpropagate from a scalar loss recorded on some active tape."""
+    """Run reverse accumulation from a scalar loss through its tape."""
     if not isinstance(loss, Tensor):
         raise ContractError("backward expects a Tensor loss")
-    if loss._tape is None:
+    tape = loss._tape
+    if tape is None:
         raise ContractError("loss was not recorded on any tape")
-    loss._tape.backward(loss)
+    if tape._consumed:
+        raise StateError("tape already consumed: backward may run once per tape")
+    if loss.data.shape != ():
+        raise DimensionError(
+            f"backward requires a scalar loss, got shape {loss.data.shape}"
+        )
+    tape._consumed = True
+    loss.grad = np.ones((), dtype=np.float64)
+    for out, inputs, backward_fn in reversed(tape._nodes):
+        if out.grad is None:
+            continue
+        grads = backward_fn(out.grad)
+        for inp, g in zip(inputs, grads):
+            if g is None or not inp.requires_grad:
+                continue
+            # Accumulation always builds a fresh array, so views returned
+            # by backward closures are safe to hold.
+            if inp.grad is None:
+                inp.grad = g
+            else:
+                inp.grad = inp.grad + g
+    # Break each out._tape -> tape -> _nodes -> out cycle, so the step's
+    # activations go by reference counting once the tape itself does.
+    for out, _, _ in tape._nodes:
+        out._tape = None
+    loss._tape = _SPENT
 
 
 def clear_grads(tensors):

@@ -41,8 +41,7 @@ class TagLattice:
 class CrfParams:
     """Transitions plus the emission projection from the encoder output."""
 
-    def __init__(self, num_labels, hidden_dim, rng, label_names=None,
-                 constrain_scheme=None):
+    def __init__(self, num_labels, hidden_dim, rng, bioes_labels=None):
         if num_labels < 1:
             raise ContractError("need at least one label")
         self.num_labels = num_labels
@@ -55,11 +54,8 @@ class CrfParams:
         mask = np.zeros((full, full))
         mask[:, self.start] = -np.inf
         mask[self.stop, :] = -np.inf
-        if constrain_scheme is not None:
-            if label_names is None:
-                raise ContractError("scheme constraints need label names")
-            mask = np.minimum(
-                mask, scheme_constraint_mask(label_names, constrain_scheme))
+        if bioes_labels is not None:  # label names: mask what BIOES forbids
+            mask = np.minimum(mask, scheme_constraint_mask(bioes_labels))
         self.structural_mask = mask
 
     def effective_transitions(self):
@@ -74,18 +70,18 @@ class CrfParams:
         }
 
 
-def scheme_constraint_mask(label_names, scheme="bioes"):
-    """-inf mask for the label bigrams ``data.tag_may_follow`` forbids."""
+def scheme_constraint_mask(label_names):
+    """-inf mask for the label bigrams ``data.tag_may_follow`` forbids in BIOES."""
     L = len(label_names)
     full = L + 2
     mask = np.zeros((full, full))
     for i, a in enumerate(label_names):
         for j, b in enumerate(label_names):
-            if not tag_may_follow(a, b, scheme):
+            if not tag_may_follow(a, b, "bioes"):
                 mask[i, j] = -np.inf
-        if not tag_may_follow(None, a, scheme):
+        if not tag_may_follow(None, a, "bioes"):
             mask[L, i] = -np.inf  # START -> a
-        if not tag_may_follow(a, None, scheme):
+        if not tag_may_follow(a, None, "bioes"):
             mask[i, L + 1] = -np.inf  # a -> STOP
     return mask
 

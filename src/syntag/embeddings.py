@@ -57,7 +57,6 @@ class CharEncoder:
     """Plain BiLSTM over characters, returning final states of each direction."""
 
     def __init__(self, char_dim, char_hidden, rng):
-        self.char_dim = char_dim
         self.hidden = char_hidden
         self.fwd = LstmParams(char_dim, char_hidden, rng)
         self.bwd = LstmParams(char_dim, char_hidden, rng)

@@ -118,10 +118,10 @@ class EvalReport:
         return "\n".join(rows) + "\n"
 
 
-def entity_f1(gold_corpus, pred_corpus, scheme="bioes"):
+def entity_f1(gold_corpus, pred_corpus):
     """Score predicted label sequences against gold, span by span.
 
-    Both arguments are lists of per-sentence label lists of equal shape.
+    Both arguments are lists of per-sentence BIOES label lists of equal shape.
     """
     if len(gold_corpus) != len(pred_corpus):
         raise ContractError(
@@ -139,8 +139,8 @@ def entity_f1(gold_corpus, pred_corpus, scheme="bioes"):
                 f"sentence {i}: gold has {len(gold_labels)} labels, "
                 f"prediction has {len(pred_labels)}"
             )
-        gold = set(decode_label_spans(gold_labels, scheme))
-        pred = set(decode_label_spans(pred_labels, scheme, drop_malformed=True))
+        gold = set(decode_label_spans(gold_labels, "bioes"))
+        pred = set(decode_label_spans(pred_labels, "bioes", drop_malformed=True))
         s_bucket = by_sentence[sentence_bucket(len(gold_labels))]
         for span in gold | pred:
             start, end, etype = span

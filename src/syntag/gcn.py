@@ -44,8 +44,6 @@ class GcnParams:
     def __init__(self, input_dim, hidden, layers, rng):
         if layers < 1:
             raise DimensionError(f"need at least one layer, got {layers}")
-        self.input_dim = input_dim
-        self.hidden = hidden
         self.weights = []
         self.biases = []
         for l in range(layers):

@@ -91,19 +91,19 @@ def check_gradients(loss_fn, params, step=1e-5, floor=1e-3):
     return report
 
 
-def random_instances(count, length, num_labels, seed, vocab_words=12):
+def random_instances(count, length, num_labels, seed):
     """Build small random annotated sentences for model-level checks.
 
-    Tokens, POS tags and deprels are drawn from tiny closed inventories;
-    heads form a random rooted tree; labels are sampled from a BIOES
-    inventory with ``num_labels`` types reduced to whatever fits in
+    Tokens (12 words), POS tags and deprels are drawn from tiny closed
+    inventories; heads form a random rooted tree; labels are sampled from a
+    BIOES inventory with ``num_labels`` types reduced to whatever fits in
     ``length`` tokens (single-token spans only, which is always valid).
     """
     from .data import Sentence
     from .training import random_tree_heads
 
     rng = np.random.default_rng(seed)
-    words = [f"w{w}" for w in range(vocab_words)]
+    words = [f"w{w}" for w in range(12)]
     pos_tags = ["NN", "VB", "JJ"]
     rels = ["nsubj", "obj", "nmod"]
     types = [f"T{k}" for k in range(max(1, num_labels))]
@@ -123,8 +123,7 @@ def random_instances(count, length, num_labels, seed, vocab_words=12):
     return sentences
 
 
-def check_model_variant(variant, seed=0, count=5, length=3, hidden=8, step=1e-5,
-                        floor=1e-3):
+def check_model_variant(variant, seed=0, count=5, length=3, hidden=8, step=1e-5):
     """Gradient-check the full training loss of one model variant.
 
     Builds ``count`` random sentences, a tiny model (hidden size ``hidden``,
@@ -153,4 +152,4 @@ def check_model_variant(variant, seed=0, count=5, length=3, hidden=8, step=1e-5,
     def loss_fn():
         return model.loss_batch(sentences, train=False)
 
-    return check_gradients(loss_fn, model.parameters(), step=step, floor=floor)
+    return check_gradients(loss_fn, model.parameters(), step=step)

@@ -5,12 +5,11 @@ import numpy as np
 from .autodiff import Tensor
 
 
-def glorot(rng, fan_in, fan_out, shape=None):
+def glorot(rng, fan_in, fan_out):
     """Uniform Glorot init: bound sqrt(6 / (fan_in + fan_out))."""
-    if shape is None:
-        shape = (fan_in, fan_out)
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+    return Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)),
+                  requires_grad=True)
 
 
 def embedding_table(rng, count, dim):

@@ -216,13 +216,11 @@ class SequenceTagger:
         if self.use_deprel:
             token_dim += config.deprel_dim
         x_dim = token_dim + (config.pos_dim if self.use_pos else 0)
-        self.x_dim = x_dim
-        self.g0_dim = token_dim
 
         self.gcn = None
         if self.use_graph and not self.zero_graph:
             layers = 1 if config.drop == "gcn-1-layer" else config.gcn_layers
-            self.gcn = GcnParams(self.g0_dim, config.hidden, layers, rng)
+            self.gcn = GcnParams(token_dim, config.hidden, layers, rng)
 
         if config.variant == "syn-lstm-crf":
             cell_in, graph_dim = x_dim, config.hidden
@@ -235,9 +233,7 @@ class SequenceTagger:
 
         self.crf = crf_mod.CrfParams(
             len(vocab.labels), 2 * config.hidden, rng,
-            label_names=vocab.label_names,
-            constrain_scheme="bioes" if config.crf_constraints else None,
-        )
+            bioes_labels=vocab.label_names if config.crf_constraints else None)
 
     # ----- parameter access -------------------------------------------
 

@@ -34,11 +34,11 @@ GEMM, (B, 6H) ((B, 4H) for the plain cell), and sigmoid is
 this layout already (``LstmParams``), so the kernel multiplies by them as
 they are and its backward returns each stacked gradient whole.
 
-Under a tape, each direction is one tape node with a hand-written BPTT
-backward: the reverse loop only carries the h and c gradients, and the
-weight and input gradients are single matmuls after it. With no tape active
-the kernel keeps no backward caches, only the gate activations when the
-caller asks for them.
+Under a tape, each ``bidirectional`` call is one tape node whose backward
+runs a hand-written BPTT per direction: the reverse loop only carries the h
+and c gradients, and the weight and input gradients are single matmuls after
+it. With no tape active the kernel keeps no backward caches, only the gate
+activations when the caller asks for them.
 """
 
 from __future__ import annotations
@@ -262,7 +262,8 @@ def bidirectional(x, g, lengths, fwd, bwd, final=False, gates=None):
     DimensionError. When ``gates`` is a dict, each of the cell's gates in
     GATE_NAMES appends to ``gates[name]`` one (tokens, 2, H) array: its
     activations at the batch's real positions in row order, direction 0
-    forward.
+    forward. Under a tape the result is one node over x, g and both
+    directions' parameters.
     """
     if (g is None) != (fwd.graph_dim is None):
         raise ContractError("a graph stream needs graph-gated parameters and vice versa")
@@ -293,15 +294,16 @@ def bidirectional(x, g, lengths, fwd, bwd, final=False, gates=None):
     # starts each sentence at its own last position.
     positions = (step, lengths[sent] - 1 - step)
     flat = np.zeros((batch if final else batch * n_max, 2 * hidden))
-    halves, acts = [], []
+    streams = (x,) if g is None else (x, g)
+    inputs = streams + tuple(w for p in (fwd, bwd) for w in p.parameters().values())
+    keep = ad.recording(inputs)
+    backward_fns, acts = [], []
     for side, p in enumerate((fwd, bwd)):
         cols = slice(side * hidden, (side + 1) * hidden)
-        inputs = (x,) + (() if g is None else (g,)) + tuple(p.parameters().values())
         act = None if gates is None else np.empty((len(step), len(p.gates), hidden))
-        backward_fn = _direction(
+        backward_fns.append(_direction(
             x.data, None if g is None else g.data, p, sent * n_max + positions[side],
-            live, order, flat[:, cols], final, ad.recording(inputs), act)
-        halves.append(ad.record(Tensor(flat[:, cols]), inputs, backward_fn))
+            live, order, flat[:, cols], final, keep, act))
         acts.append(act)
     if gates is not None:
         starts = np.cumsum(lengths) - lengths
@@ -311,16 +313,23 @@ def bidirectional(x, g, lengths, fwd, bwd, final=False, gates=None):
                 for side, act in enumerate(acts):
                     stacked[starts[sent] + positions[side], side] = act[:, k]
                 gates.setdefault(name, []).append(stacked)
-    return ad.record(Tensor(flat), halves,
-                     lambda grad: (grad[:, :hidden], grad[:, hidden:]))
+
+    def backward(grad):
+        # Reverse direction first: the forward pass ran it last.
+        d_bwd = backward_fns[1](grad[:, hidden:])
+        d_fwd = backward_fns[0](grad[:, :hidden])
+        n = len(streams)  # x and g get the sum of both directions' gradients
+        return (tuple(b + f for b, f in zip(d_bwd[:n], d_fwd[:n]))
+                + d_fwd[n:] + d_bwd[n:])
+
+    return ad.record(Tensor(flat), inputs, backward)
 
 
-def run_graph_bidirectional_batch(x_flat, g_flat, lengths, fwd, bwd,
-                                  gates=None):
+def run_graph_bidirectional_batch(x_flat, g_flat, lengths, fwd, bwd):
     """Bidirectional graph-gated pass over a padded batch: (B * n_max, 2H)."""
-    return bidirectional(x_flat, g_flat, lengths, fwd, bwd, gates=gates)
+    return bidirectional(x_flat, g_flat, lengths, fwd, bwd)
 
 
-def run_plain_bidirectional_batch(x_flat, lengths, fwd, bwd, gates=None):
+def run_plain_bidirectional_batch(x_flat, lengths, fwd, bwd):
     """Bidirectional plain-LSTM pass over a padded batch: (B * n_max, 2H)."""
-    return bidirectional(x_flat, None, lengths, fwd, bwd, gates=gates)
+    return bidirectional(x_flat, None, lengths, fwd, bwd)

@@ -168,7 +168,7 @@ def graft_trees(corpus, tree_corpus):
     return out
 
 
-def apply_tree_source(corpus, config, seed=None):
+def apply_tree_source(corpus, config):
     """Produce the corpus the model actually sees, trees included.
 
     Honors config.tree_source and the original-dependency ablation (which
@@ -181,17 +181,17 @@ def apply_tree_source(corpus, config, seed=None):
     if source == "given":
         return list(corpus)
     if source == "random":
-        return randomize_trees(corpus, config.seed if seed is None else seed)
+        return randomize_trees(corpus, config.seed)
     trees = parse_corpus(config.tree_file, label_scheme=config.label_scheme)
     return graft_trees(corpus, trees)
 
 
-def prepare_corpus(corpus, config, seed=None):
+def prepare_corpus(corpus, config):
     """Tree-source transformation plus conversion to the internal tagging
 
     scheme; the model always trains and decodes over bioes labels.
     """
-    out = apply_tree_source(corpus, config, seed=seed)
+    out = apply_tree_source(corpus, config)
     if config.label_scheme != "bioes":
         converted = []
         for s in out:
@@ -355,8 +355,14 @@ def _parse_checkpoint_body(body):
         raise FormatError(f"bad checkpoint metadata: {exc}") from None
     params = {}
     while body.left:
-        (name_len,) = struct.unpack("<H", body.read(2, "a record"))
-        name = body.read(name_len, "tensor name").decode("utf-8")
+        record = f"tensor record {len(params)}"  # each earlier one added a name
+        (name_len,) = struct.unpack("<H", body.read(2, record))
+        try:
+            name = body.read(name_len, f"name of {record}").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{record}: the name is not UTF-8") from None
+        if name in params:
+            raise FormatError(f"{record} repeats tensor {name!r}")
         (rank,) = struct.unpack("<H", body.read(2, f"rank of {name}"))
         shape = struct.unpack(f"<{rank}Q", body.read(8 * rank, f"shape of {name}"))
         body.need(8 * math.prod(shape), f"data of {name}")

@@ -290,7 +290,7 @@ class TestBatch:
         names = ["O", "B-X", "I-X", "E-X", "S-X"]
         idx = {n: i for i, n in enumerate(names)}
         rng = np.random.default_rng(14)
-        p = crf.CrfParams(5, 4, rng, label_names=names, constrain_scheme="bioes")
+        p = crf.CrfParams(5, 4, rng, bioes_labels=names)
         trans = p.effective_transitions()
         golds = [["S-X"], ["B-X", "I-X", "E-X", "O", "S-X"], ["O", "B-X", "E-X"]]
         lengths = [len(y) for y in golds]
@@ -315,8 +315,7 @@ def _padded_case(rng, lengths, L, n_max=None, constrained=False):
     """Random padded emissions and learnable transitions for one batch."""
     n_max = n_max or max(lengths)
     names = ["O", "B-X", "I-X", "E-X", "S-X"] if constrained else None
-    p = crf.CrfParams(L, 4, rng, label_names=names,
-                      constrain_scheme="bioes" if constrained else None)
+    p = crf.CrfParams(L, 4, rng, bioes_labels=names)
     p.transitions.data[...] = rng.uniform(-1, 1, (L + 2, L + 2))
     em = ad.Tensor(rng.uniform(-2, 2, (len(lengths) * n_max, L)),
                    requires_grad=True)
@@ -461,7 +460,7 @@ class TestSchemeConstraints:
     def test_constrained_params_block_invalid_bigrams(self):
         rng = np.random.default_rng(12)
         names = ["O", "B-X", "I-X", "E-X", "S-X"]
-        p = crf.CrfParams(5, 4, rng, label_names=names, constrain_scheme="bioes")
+        p = crf.CrfParams(5, 4, rng, bioes_labels=names)
         eff = p.effective_transitions().data
         idx = {n: i for i, n in enumerate(names)}
         assert eff[idx["O"], idx["I-X"]] == -np.inf
@@ -474,7 +473,7 @@ class TestSchemeConstraints:
     def test_constrained_viterbi_emits_valid_sequences(self):
         rng = np.random.default_rng(13)
         names = ["O", "B-X", "I-X", "E-X", "S-X"]
-        p = crf.CrfParams(5, 4, rng, label_names=names, constrain_scheme="bioes")
+        p = crf.CrfParams(5, 4, rng, bioes_labels=names)
         trans = p.effective_transitions()
         from syntag.data import validate_labels
         for _ in range(25):

@@ -300,11 +300,7 @@ def _kernel_case(graph, seed, lengths=LENGTHS):
 
 
 def _run(x, g, fwd, bwd, lengths=LENGTHS, gates=None):
-    if g is None:
-        return rc.run_plain_bidirectional_batch(x, lengths, fwd, bwd,
-                                                gates=gates)
-    return rc.run_graph_bidirectional_batch(x, g, lengths, fwd, bwd,
-                                            gates=gates)
+    return rc.bidirectional(x, g, lengths, fwd, bwd, gates=gates)
 
 
 def _step_chain(x, g, fwd, bwd, lengths=LENGTHS):
@@ -499,12 +495,14 @@ class TestKernel:
             np.testing.assert_array_equal(final[b, :4], seq[b, n - 1, :4])
             np.testing.assert_array_equal(final[b, 4:], seq[b, 0, 4:])
 
-    def test_one_tape_node_per_direction(self):
+    def test_one_tape_node_per_call(self):
         fwd, bwd, x, g, _ = _kernel_case(True, seed=25)
         with ad.Tape() as tape:
             out = _run(x, g, fwd, bwd)
-        # one node per direction plus the node joining their columns
-        assert len(tape._nodes) == 3
+        # both directions, over x, g and both sides' parameters
+        assert len(tape._nodes) == 1
+        assert tape._nodes[0][1] == (x, g, *fwd.parameters().values(),
+                                     *bwd.parameters().values())
         assert out.requires_grad
         assert not _run(x, g, fwd, bwd).requires_grad  # no tape, no record
 

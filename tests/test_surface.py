@@ -15,6 +15,12 @@ definition that shares its name with an unrelated attribute (``.encode`` on
 ``str``, ``.values`` on ``dict``) is taken as reached: the check is a lower
 bound on what is unused, not an exact count.
 
+Likewise every parameter with a default, of a package function, method or
+constructor, must be passed by some call in the package or the benchmark; a
+default no caller overrides is an option nobody uses. Calls are matched by
+the called name (a constructor through its class name), so this too is a
+lower bound. ``TEST_ONLY`` names the few parameters only tests set.
+
 ``autodiff`` gets an exact check, because numpy shares names such as
 ``sum``, ``reshape`` and ``take`` with ops it could carry: each name in its
 ``__all__`` must be read through an import of ``autodiff`` (a bare name
@@ -129,3 +135,63 @@ def test_every_reference_is_used_by_a_test():
         name for name in _definitions(REFERENCE) if "." not in name
         and name not in (helpers if name.startswith("_") else reached))
     assert unused == []
+
+
+# (module, function, parameter) set only by tests: the model-level gradient
+# check's problem size and step, ``check_gradients``' error floor (1.0 in the
+# autodiff tests), and the CLI's argument list.
+TEST_ONLY = frozenset(
+    [("gradcheck", "check_model_variant", name)
+     for name in ("count", "length", "hidden", "step")]
+    + [("gradcheck", "check_gradients", "floor"), ("cli", "main", "argv")])
+
+
+def _defaulted_parameters(path):
+    """(function, parameter, positional index or None) for each default.
+
+    A constructor is named by its class; the index counts call arguments,
+    so a bound method's or constructor's first parameter is skipped.
+    """
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef):
+            defs = [(node.name, node, 0)]
+        elif isinstance(node, ast.ClassDef):
+            defs = [(node.name if item.name == "__init__" else item.name, item,
+                     0 if any(getattr(d, "id", None) == "staticmethod"
+                              for d in item.decorator_list) else 1)
+                    for item in node.body if isinstance(item, ast.FunctionDef)]
+        else:
+            continue
+        for name, fn, bound in defs:
+            args = fn.args.posonlyargs + fn.args.args
+            first = len(args) - len(fn.args.defaults)
+            for index, arg in enumerate(args[first:], first):
+                yield name, arg.arg, index - bound
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+
+
+def _sets(call, parameter, index):
+    """Whether ``call`` may pass ``parameter`` (``*``/``**`` may pass any)."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_default_is_overridden_outside_tests():
+    calls = {}
+    for path in PACKAGE + BENCH:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    unset = sorted(
+        (path.stem, name, parameter)
+        for path in PACKAGE
+        for name, parameter, index in _defaulted_parameters(path)
+        if not any(_sets(call, parameter, index) for call in calls.get(name, ())))
+    assert [u for u in unset if u not in TEST_ONLY] == []
+    assert sorted(TEST_ONLY - set(unset)) == []  # each entry still test-only

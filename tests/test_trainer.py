@@ -477,6 +477,42 @@ class TestCheckpoint:
                                match="truncated" if fix_crc else "checksum"):
                 load_checkpoint(path)
 
+    def _first_record(self, tmp_path):
+        """A saved checkpoint's bytes, its path, and the first tensor record's
+        (start, name length, end) offsets."""
+        result, _ = self.run_small()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(result.checkpoint, path)
+        raw = bytearray(path.read_bytes())
+        (meta_len,) = struct.unpack_from("<Q", raw, 10)
+        start = 18 + meta_len
+        (name_len,) = struct.unpack_from("<H", raw, start)
+        (rank,) = struct.unpack_from("<H", raw, start + 2 + name_len)
+        dims = struct.unpack_from(f"<{rank}Q", raw, start + 4 + name_len)
+        end = start + 4 + name_len + 8 * rank + 8 * int(np.prod(dims))
+        return raw, path, (start, name_len, end)
+
+    @staticmethod
+    def _write_with_crc(path, raw):
+        struct.pack_into("<I", raw, 6, zlib.crc32(raw[10:]))
+        path.write_bytes(bytes(raw))
+
+    def test_non_utf8_tensor_name_is_a_format_error(self, tmp_path):
+        raw, path, (start, _, _) = self._first_record(tmp_path)
+        raw[start + 2] = 0xFF  # never valid in UTF-8
+        self._write_with_crc(path, raw)
+        with pytest.raises(FormatError, match="tensor record 0: the name is not UTF-8"):
+            load_checkpoint(path)
+
+    def test_repeated_tensor_record_is_a_format_error(self, tmp_path):
+        raw, path, (start, name_len, end) = self._first_record(tmp_path)
+        name = raw[start + 2: start + 2 + name_len].decode("utf-8")
+        count = len(load_checkpoint(path).params)
+        self._write_with_crc(path, raw + raw[start:end])
+        with pytest.raises(FormatError,
+                           match=f"tensor record {count} repeats tensor '{name}'"):
+            load_checkpoint(path)
+
     def test_truncation_detected(self, tmp_path):
         result, _ = self.run_small()
         path = tmp_path / "model.ckpt"
