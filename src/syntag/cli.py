@@ -7,13 +7,14 @@ Exit codes: 0 on success, 1 on usage errors, 2 on data or contract errors,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .data import (decode_label_spans, encode_label_spans, parse_corpus,
                    write_corpus)
 from .errors import ContractError, NumericalError, SyntagError
-from .evaluation import (ablation_run, compare_tree_sources, entity_f1,
-                         gate_histogram, gate_mean, histogram_csv)
+from .evaluation import (compare_tree_sources, entity_f1, gate_histogram,
+                         gate_mean, histogram_csv, train_and_score)
 from .gradcheck import check_model_variant
 from .model import DROPS, VARIANTS, ModelConfig
 from .recurrent import GATE_NAMES
@@ -193,13 +194,8 @@ def _cmd_analyze_gates(args):
     counts = gate_histogram(gates, args.gate)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(histogram_csv(counts))
-    total = int(counts.sum())
-    mean = gate_mean(gates, args.gate) \
-        if ckpt.config.variant == "syn-lstm-crf" else None
-    line = f"{total} activations histogrammed into {args.out}"
-    if mean is not None:
-        line += f"; mean {args.gate} gate {mean:.4f}"
-    print(line)
+    print(f"{int(counts.sum())} activations histogrammed into {args.out}; "
+          f"mean {args.gate} gate {gate_mean(gates, args.gate):.4f}")
     return 0
 
 
@@ -219,10 +215,11 @@ def _cmd_ablate(args):
     config = ModelConfig.from_file(args.config)
     corpus = parse_corpus(args.data, config.label_scheme)
     train_c, dev_c, test_c = _split_corpus(corpus)
-    result = ablation_run(config, train_c, dev_c, test_c, args.drop)
-    print(f"ablation {result.drop}: test f1 {result.report.f1:.4f} "
-          f"(best epoch {result.best_epoch})")
-    print(result.report.to_text(), end="")
+    result, report, _ = train_and_score(
+        dataclasses.replace(config, drop=args.drop), train_c, dev_c, test_c)
+    print(f"ablation {args.drop}: test f1 {report.f1:.4f} "
+          f"(best epoch {result.checkpoint.best_epoch})")
+    print(report.to_text(), end="")
     return 0
 
 

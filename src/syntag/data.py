@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     ContractError,
-    DataIntegrityError,
     FormatError,
     ParseError,
     SchemeError,
@@ -452,15 +451,3 @@ def _both_ints(parts):
         return False
     return True
 
-
-def corpus_alignment_check(a, b):
-    """Verify two corpora have the same shape (for tree overrides)."""
-    if len(a) != len(b):
-        raise DataIntegrityError(
-            f"corpora differ in sentence count: {len(a)} vs {len(b)}"
-        )
-    for i, (sa, sb) in enumerate(zip(a, b)):
-        if len(sa) != len(sb):
-            raise DataIntegrityError(
-                f"sentence {i} differs in length: {len(sa)} vs {len(sb)}"
-            )

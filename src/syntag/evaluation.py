@@ -1,4 +1,4 @@
-"""Span-level scoring, gate statistics, and the tree and ablation experiments.
+"""Span-level scoring, gate statistics, and the experiment driver.
 
 Scoring is exact-match on (start, end, type) spans. Gold label sequences
 must be valid; predicted sequences are decoded leniently, dropping
@@ -9,7 +9,7 @@ that span instead of crashing the evaluation.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,9 +68,9 @@ class EvalReport:
     tp: int
     fp: int
     fn: int
-    per_type: dict = field(default_factory=dict)
-    sentence_length: dict = field(default_factory=dict)
-    entity_length: dict = field(default_factory=dict)
+    per_type: dict
+    sentence_length: dict
+    entity_length: dict
 
     def to_text(self):
         lines = [
@@ -220,7 +220,7 @@ def histogram_csv(counts):
 
 # ----- experiments ----------------------------------------------------------
 
-def _train_and_score(cfg, train_corpus, dev_corpus, test_corpus):
+def train_and_score(cfg, train_corpus, dev_corpus, test_corpus):
     """Train on ``cfg``, then decode and score the prepared test split.
 
     Returns (TrainResult, the test EvalReport, the gate activations of the
@@ -264,28 +264,30 @@ def compare_tree_sources(config, train_corpus, dev_corpus, test_corpus,
     """Train once per tree source and score each on the test split.
 
     A source is "given", "random", or "predicted=PATH" where PATH is a
-    corpus file whose heads and relations override the gold trees.
-    Evaluation data passes through the same tree transformation as
-    training data, so a model trained on random trees is also decoded
-    with random trees.
+    corpus file whose heads and relations override the gold trees. Only
+    "predicted" takes "=PATH", no source may be listed twice, and every
+    source is checked before the first one trains. Evaluation data passes
+    through the same tree transformation as training data, so a model
+    trained on random trees is also decoded with random trees.
     """
+    configs = {}
+    for source in sources:
+        name, eq, path = source.partition("=")
+        if source in configs:
+            raise ContractError(f"tree source {source!r} is listed twice")
+        if eq and name != "predicted":
+            raise ContractError(f"tree source {source!r}: only predicted takes =PATH")
+        configs[source] = dataclasses.replace(
+            config, tree_source=name, tree_file=path or config.tree_file).validate()
     f1 = {}
     mean_gate = {}
     best_epochs = {}
-    for source in sources:
-        name, _, path = source.partition("=")
-        if path:
-            cfg = dataclasses.replace(config, tree_source=name,
-                                      tree_file=path)
-        else:
-            cfg = dataclasses.replace(config, tree_source=name)
-        result, report, gates = _train_and_score(
+    for source, cfg in configs.items():
+        result, report, gates = train_and_score(
             cfg, train_corpus, dev_corpus, test_corpus)
         f1[source] = report.f1
-        if cfg.variant == "syn-lstm-crf":
-            mean_gate[source] = gate_mean(gates, "m")
-        else:
-            mean_gate[source] = None
+        mean_gate[source] = (gate_mean(gates, "m")
+                             if cfg.variant == "syn-lstm-crf" else None)
         best_epochs[source] = result.checkpoint.best_epoch
     deltas = {}
     names = list(sources)
@@ -294,17 +296,3 @@ def compare_tree_sources(config, train_corpus, dev_corpus, test_corpus,
             deltas[f"{a} vs {b}"] = f1[a] - f1[b]
     return TreeComparisonReport(names, f1, mean_gate, deltas, best_epochs)
 
-
-@dataclass
-class AblationResult:
-    drop: str | None
-    report: EvalReport
-    best_epoch: int
-
-
-def ablation_run(config, train_corpus, dev_corpus, test_corpus, drop):
-    """Train with one component removed and score the test split."""
-    cfg = dataclasses.replace(config, drop=drop)
-    result, report, _ = _train_and_score(cfg, train_corpus, dev_corpus,
-                                         test_corpus)
-    return AblationResult(drop, report, result.checkpoint.best_epoch)

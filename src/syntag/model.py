@@ -137,7 +137,7 @@ class ModelConfig:
                                       f"line {first_line[key]}")
                 first_line[key] = lineno
                 try:
-                    kwargs[key] = _convert_option(types[key], value)
+                    kwargs[key] = _FIELD_TYPES[types[key]][0](value)
                 except ValueError:
                     raise FormatError(
                         f"{path}:{lineno}: bad value {value!r} for {key!r}"
@@ -145,24 +145,23 @@ class ModelConfig:
         return cls(**kwargs).validate()
 
 
-def _convert_option(annotation, value):
-    """Parse one config value by its field's annotation (a string here)."""
-    if annotation == "int":
-        return int(value)
-    if annotation == "float":
-        return float(value)
-    if annotation == "bool":
-        low = value.lower()
-        if low not in ("true", "false"):
-            raise ValueError(value)
-        return low == "true"
-    if annotation == "str | None" and value.lower() == "none":
-        return None
-    return value
+def _parse_bool(value):
+    low = value.lower()
+    if low not in ("true", "false"):
+        raise ValueError(value)
+    return low == "true"
 
 
-_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
-               "str | None": (str, type(None))}
+# Each config field annotation (a string here): the parser of its text value
+# in a config file, and the JSON types its value may have in a checkpoint.
+_FIELD_TYPES = {
+    "int": (int, int),
+    "float": (float, (int, float)),
+    "bool": (_parse_bool, bool),
+    "str": (str, str),
+    "str | None": (lambda value: None if value.lower() == "none" else value,
+                   (str, type(None))),
+}
 
 
 def typed_value(name, value, annotation):
@@ -170,7 +169,7 @@ def typed_value(name, value, annotation):
 
     A bool fits only ``bool``, though Python counts it as an int.
     """
-    want = _JSON_TYPES[annotation]
+    want = _FIELD_TYPES[annotation][1]
     if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
         raise TypeError(f"{name} is {value!r}, expected {annotation}")
     return value

@@ -16,8 +16,9 @@ import numpy as np
 
 from .autodiff import Tape, backward
 from .data import (Vocabulary, build_vocab, convert_label_scheme,
-                   corpus_alignment_check, load_embeddings, parse_corpus)
-from .errors import ContractError, FormatError, NumericalError
+                   load_embeddings, parse_corpus)
+from .errors import ContractError, DataIntegrityError, FormatError, NumericalError
+from .evaluation import entity_f1
 from .model import ModelConfig, SequenceTagger, typed_value
 
 CHECKPOINT_MAGIC = b"SYNL"
@@ -130,76 +131,49 @@ def random_tree_heads(n, rng):
     return [p + 1 for p in orient(adjacent, root)]
 
 
-def randomize_trees(corpus, seed):
-    """Replace every tree with a uniform random one, relations included.
+def prepare_corpus(corpus, config):
+    """The corpus the model sees: trees from config.tree_source, bioes labels.
 
-    Relation labels are drawn uniformly from the set observed in the
-    corpus, so their marginal distribution carries no syntax either.
-    """
-    rng = np.random.default_rng(seed)
-    rel_names = []
-    seen = set()
-    for s in corpus:
-        for r in s.deprels:
-            if r not in seen:
-                seen.add(r)
-                rel_names.append(r)
-    if not rel_names:
-        raise ContractError("corpus has no relation labels to sample from")
-    out = []
-    for s in corpus:
-        c = s.copy()
-        c.heads = random_tree_heads(len(s), rng)
-        c.deprels = [rel_names[int(rng.integers(0, len(rel_names)))]
-                     for _ in range(len(s))]
-        out.append(c)
-    return out
-
-
-def graft_trees(corpus, tree_corpus):
-    """Copy heads and relations from an aligned corpus onto this one."""
-    corpus_alignment_check(corpus, tree_corpus)
-    out = []
-    for s, t in zip(corpus, tree_corpus):
-        c = s.copy()
-        c.heads = list(t.heads)
-        c.deprels = list(t.deprels)
-        out.append(c)
-    return out
-
-
-def apply_tree_source(corpus, config):
-    """Produce the corpus the model actually sees, trees included.
-
-    Honors config.tree_source and the original-dependency ablation (which
-    behaves like tree_source 'random'). The same transformation must be
-    applied to any corpus the model touches, evaluation data included.
+    The original-dependency ablation behaves like tree_source 'random': one
+    generator seeded with config.seed draws each sentence's heads, then its
+    relations, uniformly from the relation labels the corpus holds, so their
+    marginal distribution carries no syntax either. 'predicted' copies heads
+    and relations from config.tree_file, which must align sentence by
+    sentence. Every corpus the model touches, evaluation data included,
+    passes through here. Each sentence is copied once; a 'given' bioes
+    corpus comes back as a new list of the same sentences.
     """
     source = config.tree_source
     if config.drop == "original-dependency":
         source = "random"
-    if source == "given":
+    convert = config.label_scheme != "bioes"
+    if source == "given" and not convert:
         return list(corpus)
     if source == "random":
-        return randomize_trees(corpus, config.seed)
-    trees = parse_corpus(config.tree_file, label_scheme=config.label_scheme)
-    return graft_trees(corpus, trees)
-
-
-def prepare_corpus(corpus, config):
-    """Tree-source transformation plus conversion to the internal tagging
-
-    scheme; the model always trains and decodes over bioes labels.
-    """
-    out = apply_tree_source(corpus, config)
-    if config.label_scheme != "bioes":
-        converted = []
-        for s in out:
-            c = s.copy()
-            c.labels = convert_label_scheme(s.labels, config.label_scheme,
-                                            "bioes")
-            converted.append(c)
-        out = converted
+        rng = np.random.default_rng(config.seed)
+        relations = list(dict.fromkeys(r for s in corpus for r in s.deprels))
+        if not relations:
+            raise ContractError("corpus has no relation labels to sample from")
+    elif source == "predicted":
+        trees = parse_corpus(config.tree_file, label_scheme=config.label_scheme)
+        if len(trees) != len(corpus):
+            raise DataIntegrityError(
+                f"corpora differ in sentence count: {len(corpus)} vs {len(trees)}")
+    out = []
+    for i, s in enumerate(corpus):
+        c = s.copy()
+        if source == "random":
+            c.heads = random_tree_heads(len(s), rng)
+            c.deprels = [relations[int(rng.integers(0, len(relations)))]
+                         for _ in range(len(s))]
+        elif source == "predicted":
+            if len(trees[i]) != len(s):
+                raise DataIntegrityError(
+                    f"sentence {i} differs in length: {len(s)} vs {len(trees[i])}")
+            c.heads, c.deprels = list(trees[i].heads), list(trees[i].deprels)
+        if convert:
+            c.labels = convert_label_scheme(s.labels, config.label_scheme, "bioes")
+        out.append(c)
     return out
 
 
@@ -411,7 +385,6 @@ class TrainResult:
 
 
 def _dev_f1(model, dev):
-    from .evaluation import entity_f1
     pred = model.predict(dev)
     return entity_f1([s.labels for s in dev], pred).f1
 

@@ -148,16 +148,23 @@ class TestAnalyzeGates:
         assert sum(calls) == sentences
 
 
-    def test_plain_checkpoint_names_its_gates(self, workdir, tmp_path, capsys):
+    @pytest.fixture(scope="class")
+    def plain_ckpt(self, workdir, tmp_path_factory):
+        """A one-epoch bilstm-crf checkpoint, which has no m gate."""
+        root = tmp_path_factory.mktemp("plain")
         config = ModelConfig.from_file(workdir / "model.conf")
         config.variant, config.epochs = "bilstm-crf", 1
-        (tmp_path / "plain.conf").write_text(reference.config_text(config))
-        assert main(["train", "--config", str(tmp_path / "plain.conf"),
+        (root / "plain.conf").write_text(reference.config_text(config))
+        assert main(["train", "--config", str(root / "plain.conf"),
                      "--train", str(workdir / "dev.tsv"),
                      "--dev", str(workdir / "dev.tsv"),
-                     "--out", str(tmp_path / "plain.ckpt")]) == 0
+                     "--out", str(root / "plain.ckpt")]) == 0
+        return root / "plain.ckpt"
+
+    def test_plain_checkpoint_names_its_gates(self, workdir, plain_ckpt, tmp_path,
+                                              capsys):
         capsys.readouterr()
-        code = main(["analyze-gates", "--model", str(tmp_path / "plain.ckpt"),
+        code = main(["analyze-gates", "--model", str(plain_ckpt),
                      "--data", str(workdir / "dev.tsv"),
                      "--out", str(tmp_path / "gates.csv")])
         err = capsys.readouterr().err
@@ -165,6 +172,16 @@ class TestAnalyzeGates:
         assert ("gate 'm' exists only in syn-lstm-crf; this bilstm-crf "
                 "checkpoint has f, i, o") in err
         assert not (tmp_path / "gates.csv").exists()
+
+    def test_plain_checkpoint_gate_has_a_mean(self, workdir, plain_ckpt, tmp_path,
+                                              capsys):
+        capsys.readouterr()
+        code = main(["analyze-gates", "--model", str(plain_ckpt),
+                     "--data", str(workdir / "dev.tsv"),
+                     "--gate", "f", "--out", str(tmp_path / "gates.csv")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert re.search(r"; mean f gate 0\.\d{4}$", out.strip()), out
 
     def test_empty_corpus_says_so(self, workdir, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"
@@ -318,6 +335,19 @@ class TestExitCodes:
               "--seed", "0"])
         assert main(["compare-trees", "--config", str(workdir / "model.conf"),
                      "--data", str(small), "--sources", "given,random"]) == 2
+
+    def test_compare_trees_rejects_paths_and_repeats(self, workdir, capsys):
+        for sources, named in ((f"given={workdir / 'dev.tsv'},random",
+                                f"'given={workdir / 'dev.tsv'}': only predicted"),
+                               ("random=x", "'random=x': only predicted"),
+                               ("given,random,given", "'given' is listed twice")):
+            capsys.readouterr()
+            assert main(["compare-trees", "--config", str(workdir / "model.conf"),
+                         "--data", str(workdir / "train.tsv"),
+                         "--sources", sources]) == 2, sources
+            captured = capsys.readouterr()
+            assert f"error: tree source {named}" in captured.err, captured.err
+            assert captured.out == ""
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -1,5 +1,7 @@
 """Optimizer, training loop, checkpoint, and tree randomization tests."""
 
+import hashlib
+import json
 import struct
 import zlib
 from collections import Counter
@@ -11,16 +13,15 @@ from hypothesis import strategies as st
 
 from syntag import autodiff as ad
 from syntag.autodiff import Tensor
-from syntag.data import (build_vocab, parse_corpus, serialize_corpus,
-                         validate_tree)
+from syntag.data import (build_vocab, convert_label_scheme, parse_corpus,
+                         serialize_corpus, validate_tree)
 from syntag.errors import (ContractError, DataIntegrityError, FormatError,
                            NumericalError)
 from syntag.gradcheck import random_instances
 from syntag.model import ModelConfig, SequenceTagger
-from syntag.training import (Checkpoint, apply_tree_source, build_model,
-                             clip_gradients, epoch_lr, load_checkpoint,
-                             prepare_corpus, random_tree_heads,
-                             randomize_trees, save_checkpoint, sgd_step,
+from syntag.training import (Checkpoint, build_model, clip_gradients,
+                             epoch_lr, load_checkpoint, prepare_corpus,
+                             random_tree_heads, save_checkpoint, sgd_step,
                              snapshot_params, train)
 
 
@@ -157,7 +158,7 @@ class TestRandomTrees:
 
     def test_randomize_trees_keeps_text(self):
         corpus = random_instances(6, 7, num_labels=2, seed=1)
-        out = randomize_trees(corpus, seed=5)
+        out = prepare_corpus(corpus, small_config(tree_source="random", seed=5))
         assert [s.tokens for s in out] == [s.tokens for s in corpus]
         assert [s.labels for s in out] == [s.labels for s in corpus]
         observed = {r for s in corpus for r in s.deprels}
@@ -169,54 +170,109 @@ class TestRandomTrees:
     def test_randomize_trees_does_not_mutate_input(self):
         corpus = random_instances(3, 6, num_labels=2, seed=1)
         before = [list(s.heads) for s in corpus]
-        randomize_trees(corpus, seed=2)
+        prepare_corpus(corpus, small_config(tree_source="random", seed=2))
         assert [list(s.heads) for s in corpus] == before
 
     def test_randomize_trees_deterministic(self):
         corpus = random_instances(4, 6, num_labels=2, seed=1)
-        a = randomize_trees(corpus, seed=9)
-        b = randomize_trees(corpus, seed=9)
+        a = prepare_corpus(corpus, small_config(tree_source="random", seed=9))
+        b = prepare_corpus(corpus, small_config(tree_source="random", seed=9))
         assert [s.heads for s in a] == [s.heads for s in b]
         assert [s.deprels for s in a] == [s.deprels for s in b]
+
+    def test_random_tree_draw_order_is_pinned(self):
+        # Pins the draw order: one generator per corpus, and for each sentence
+        # its heads, then its relations. Changing it changes every
+        # random-tree result.
+        corpus = random_instances(6, 9, num_labels=2, seed=3)
+        out = prepare_corpus(corpus, small_config(tree_source="random", seed=11))
+        blob = json.dumps([[s.heads, s.deprels] for s in out]).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "2abfa8b91b772925ac6542690267aaa7150a64be77f8b1619fb9b8c9e6600f27")
 
 
 class TestTreeSource:
     def test_given_keeps_trees(self):
         corpus = random_instances(4, 5, num_labels=2, seed=2)
         cfg = small_config(tree_source="given")
-        out = apply_tree_source(corpus, cfg)
+        out = prepare_corpus(corpus, cfg)
         assert [s.heads for s in out] == [s.heads for s in corpus]
 
     def test_random_replaces_trees(self):
         corpus = random_instances(6, 8, num_labels=2, seed=2)
         cfg = small_config(tree_source="random")
-        out = apply_tree_source(corpus, cfg)
+        out = prepare_corpus(corpus, cfg)
         assert any(a.heads != b.heads for a, b in zip(out, corpus))
 
     def test_original_dependency_drop_randomizes(self):
         corpus = random_instances(6, 8, num_labels=2, seed=2)
         cfg = small_config(drop="original-dependency")
-        out = apply_tree_source(corpus, cfg)
+        out = prepare_corpus(corpus, cfg)
         assert any(a.heads != b.heads for a, b in zip(out, corpus))
 
     def test_predicted_grafts_from_file(self, tmp_path):
         corpus = random_instances(4, 5, num_labels=2, seed=2)
-        trees = randomize_trees(corpus, seed=7)
+        trees = prepare_corpus(corpus, small_config(tree_source="random", seed=7))
         tree_path = tmp_path / "trees.tsv"
         tree_path.write_text(serialize_corpus(trees))
         cfg = small_config(tree_source="predicted", tree_file=str(tree_path))
-        out = apply_tree_source(parse_corpus_roundtrip(corpus, tmp_path), cfg)
+        out = prepare_corpus(parse_corpus_roundtrip(corpus, tmp_path), cfg)
         assert [s.heads for s in out] == [s.heads for s in trees]
         assert [s.deprels for s in out] == [s.deprels for s in trees]
 
     def test_predicted_misaligned_file(self, tmp_path):
         corpus = random_instances(4, 5, num_labels=2, seed=2)
-        trees = randomize_trees(corpus, seed=7)[:3]
+        trees = prepare_corpus(corpus, small_config(tree_source="random", seed=7))[:3]
         tree_path = tmp_path / "trees.tsv"
         tree_path.write_text(serialize_corpus(trees))
         cfg = small_config(tree_source="predicted", tree_file=str(tree_path))
         with pytest.raises(DataIntegrityError):
-            apply_tree_source(corpus, cfg)
+            prepare_corpus(corpus, cfg)
+
+    def test_predicted_sentence_length_mismatch_names_the_sentence(self, tmp_path):
+        corpus = random_instances(4, 5, num_labels=2, seed=2)
+        trees = random_instances(4, 5, num_labels=2, seed=8)
+        trees[2] = random_instances(1, 6, num_labels=2, seed=9)[0]
+        tree_path = tmp_path / "trees.tsv"
+        tree_path.write_text(serialize_corpus(trees))
+        cfg = small_config(tree_source="predicted", tree_file=str(tree_path))
+        with pytest.raises(DataIntegrityError,
+                           match="sentence 2 differs in length: 5 vs 6"):
+            prepare_corpus(corpus, cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(source=st.sampled_from(["given", "random", "original-dependency",
+                                   "predicted"]),
+           scheme=st.sampled_from(["bioes", "bio"]),
+           count=st.integers(1, 4), length=st.integers(1, 8),
+           seed=st.integers(0, 2**16))
+    def test_prepare_keeps_text_and_never_mutates(self, tmp_path_factory, source,
+                                                  scheme, count, length, seed):
+        corpus = random_instances(count, length, num_labels=2, seed=seed)
+        for s in corpus:
+            s.labels = convert_label_scheme(s.labels, "bioes", scheme)
+        overrides = dict(label_scheme=scheme, seed=seed)
+        if source == "original-dependency":
+            overrides["drop"] = source
+        else:
+            overrides["tree_source"] = source
+        if source == "predicted":
+            path = tmp_path_factory.mktemp("trees") / "trees.tsv"
+            trees = random_instances(count, length, num_labels=2, seed=seed + 1)
+            for t in trees:
+                t.labels = convert_label_scheme(t.labels, "bioes", scheme)
+            path.write_text(serialize_corpus(trees))
+            overrides["tree_file"] = str(path)
+        before = serialize_corpus(corpus)
+        out = prepare_corpus(corpus, small_config(**overrides))
+        assert serialize_corpus(corpus) == before
+        assert [s.tokens for s in out] == [s.tokens for s in corpus]
+        assert [s.pos_tags for s in out] == [s.pos_tags for s in corpus]
+        assert [len(s) for s in out] == [len(s) for s in corpus]
+        for s, c in zip(out, corpus):
+            assert len(s.heads) == len(s.deprels) == len(s.labels) == len(s)
+            validate_tree(s.heads)
+            assert s.labels == convert_label_scheme(c.labels, scheme, "bioes")
 
     def test_prepare_converts_bio_labels(self):
         corpus = random_instances(3, 4, num_labels=2, seed=4)
