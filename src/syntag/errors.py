@@ -46,7 +46,7 @@ class SchemeError(SyntagError):
 
 
 class FormatError(SyntagError):
-    """A binary checkpoint file is malformed or truncated."""
+    """A checkpoint, config, vocabulary map or embedding file is malformed."""
 
 
 class DataIntegrityError(SyntagError):

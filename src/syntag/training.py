@@ -5,11 +5,11 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import heapq
+import io
 import json
 import math
 import os
-import struct
-import zlib
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +21,8 @@ from .errors import ContractError, DataIntegrityError, FormatError, NumericalErr
 from .evaluation import entity_f1
 from .model import ModelConfig, SequenceTagger, typed_value
 
-CHECKPOINT_MAGIC = b"SYNL"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+META_MEMBER = "meta.json"
 
 
 def epoch_lr(epoch, lr, decay):
@@ -193,48 +193,32 @@ def snapshot_params(model):
 
 
 def save_checkpoint(ckpt, path):
-    """Write a checkpoint in the binary container format.
+    """Write a checkpoint as an uncompressed zip, the container of ``np.savez``.
 
-    Layout (little-endian): 4-byte magic, u16 version, u32 CRC32 of
-    everything after it, u64 metadata length, UTF-8 JSON metadata, then one
-    record per tensor: u16 name length, name, u16 rank, rank u64 dims, and
-    the row-major float64 payload.
-
-    The file is written beside ``path`` under a temporary name and renamed
-    over it only once complete, so a save that fails or is interrupted
-    leaves any previous checkpoint at ``path`` untouched.
+    ``meta.json`` holds the format version, config, vocabulary, best dev F1
+    and best epoch; each tensor is a C-order ``<f8`` member ``<name>.npy``.
+    Every member carries its own CRC-32. The file is written and synced
+    beside ``path``, renamed over it only once complete, and the directory
+    synced after, so a failed save leaves any previous checkpoint untouched
+    and a finished one survives a crash.
     """
     meta = {
+        "version": CHECKPOINT_VERSION,
         "config": dataclasses.asdict(ckpt.config),
         "vocab": ckpt.vocab.to_dict(),
         "best_dev_f1": ckpt.best_dev_f1,
         "best_epoch": ckpt.best_epoch,
     }
-    blob = json.dumps(meta, ensure_ascii=False).encode("utf-8")
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<HI", CHECKPOINT_VERSION, 0))  # CRC32 below
-            crc = 0
-
-            def write(data):
-                nonlocal crc
-                crc = zlib.crc32(data, crc)
-                fh.write(data)
-
-            write(struct.pack("<Q", len(blob)))
-            write(blob)
-            for name, arr in ckpt.params.items():
-                nb = name.encode("utf-8")
-                write(struct.pack("<H", len(nb)))
-                write(nb)
-                a = np.ascontiguousarray(arr, dtype=np.float64)
-                write(struct.pack("<H", a.ndim))
-                write(struct.pack(f"<{a.ndim}Q", *a.shape))
-                write(a.astype("<f8", copy=False).tobytes())
-            fh.seek(len(CHECKPOINT_MAGIC) + 2)
-            fh.write(struct.pack("<I", crc))
+            with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
+                zf.writestr(zipfile.ZipInfo(META_MEMBER), json.dumps(meta))
+                for name, arr in ckpt.params.items():
+                    a = np.ascontiguousarray(arr, dtype="<f8")
+                    with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w",
+                                 force_zip64=True) as member:  # over 2 GiB, as np.savez
+                        np.lib.format.write_array(member, a)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -242,83 +226,47 @@ def save_checkpoint(ckpt, path):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
-
-
-def _read_exact(fh, count, what):
-    data = fh.read(count)
-    if len(data) != count:
-        raise FormatError(f"checkpoint truncated while reading {what}")
-    return data
-
-
-class _ChecksumReader:
-    """Reads a checkpoint's body from the file, folding every byte into a CRC32.
-
-    Every read is checked against the bytes left in the file first, so a
-    corrupt size field cannot ask for more memory than the file holds.
-    """
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.left = os.fstat(fh.fileno()).st_size - fh.tell()
-        self.crc = 0
-
-    def need(self, count, what):
-        if count > self.left:
-            raise FormatError(f"checkpoint truncated while reading {what}")
-
-    def read(self, count, what):
-        self.need(count, what)
-        return self.read_into(bytearray(count), what)
-
-    def read_into(self, buf, what):
-        view = memoryview(buf).cast("B")
-        if self.fh.readinto(view) != len(view):
-            raise FormatError(f"checkpoint truncated while reading {what}")
-        self.crc = zlib.crc32(view, self.crc)
-        self.left -= len(view)
-        return buf
-
-    def check(self, stored):
-        """Fold in the rest of the file and compare the CRC with ``stored``."""
-        while chunk := self.fh.read(1 << 16):
-            self.crc = zlib.crc32(chunk, self.crc)
-        if self.crc != stored:
-            raise FormatError(f"checkpoint checksum mismatch (stored {stored:08x}, "
-                              f"computed {self.crc:08x}): the file is damaged or truncated")
+    directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def load_checkpoint(path):
     """Read a checkpoint written by ``save_checkpoint``.
 
-    Tensors are read straight from the file into their arrays. When the
-    body fails to parse, the rest of the file is read and its checksum
-    checked first, so a damaged file raises a checksum mismatch.
+    A bad CRC-32, a truncated file, a repeated, compressed or stray member
+    and a ``.npy`` header that does not describe the bytes after it each
+    raise FormatError naming the member. Tensors are read-only views of
+    their members' bytes; ``build_model`` copies them into the model.
     """
     with open(path, "rb") as fh:
-        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise FormatError("not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<H", _read_exact(fh, 2, "version"))
-        if version != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
-        (stored,) = struct.unpack("<I", _read_exact(fh, 4, "checksum"))
-        body = _ChecksumReader(fh)
+        head = fh.read(6)
+        if head[:4] == b"SYNL":  # the hand-rolled container of versions 1 and 2
+            version = int.from_bytes(head[4:], "little")
+            raise FormatError(f"unsupported checkpoint version {version} "
+                              "(there is no converter; retrain the model)")
+        where, params = "zip directory", {}
         try:
-            ckpt = _parse_checkpoint_body(body)
-        except Exception:
-            body.check(stored)
-            raise
-        body.check(stored)
-    return ckpt
-
-
-def _parse_checkpoint_body(body):
-    (meta_len,) = struct.unpack("<Q", body.read(8, "metadata size"))
+            with zipfile.ZipFile(fh) as zf:
+                for info in zf.infolist():
+                    where = f"member {info.filename!r}"
+                    if zf.getinfo(info.filename) is not info:  # a later one has the name
+                        raise ValueError("the name is repeated")
+                    if info.compress_type != zipfile.ZIP_STORED:
+                        raise ValueError("the member is compressed")
+                    if info.filename.endswith(".npy"):
+                        params[info.filename[:-len(".npy")]] = _npy_tensor(zf.read(info))
+                    elif info.filename != META_MEMBER:
+                        raise ValueError(f"neither {META_MEMBER} nor a .npy tensor")
+                where = f"member {META_MEMBER!r}"
+                meta = json.loads(zf.read(META_MEMBER))
+        except (zipfile.BadZipFile, EOFError, ValueError, KeyError, RuntimeError) as exc:
+            raise FormatError(f"bad checkpoint {where}: {exc}") from None
     try:
-        meta = json.loads(body.read(meta_len, "metadata"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"bad checkpoint metadata: {exc}") from None
-    try:
+        if meta["version"] != CHECKPOINT_VERSION:
+            raise FormatError(f"unsupported checkpoint version {meta['version']!r}")
         types = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
         config = ModelConfig(**{name: typed_value(f"config.{name}", value, types[name])
                                 for name, value in meta["config"].items()}).validate()
@@ -327,23 +275,25 @@ def _parse_checkpoint_body(body):
         best_epoch = typed_value("best_epoch", meta["best_epoch"], "int")
     except (KeyError, TypeError, AttributeError, ContractError) as exc:
         raise FormatError(f"bad checkpoint metadata: {exc}") from None
-    params = {}
-    while body.left:
-        record = f"tensor record {len(params)}"  # each earlier one added a name
-        (name_len,) = struct.unpack("<H", body.read(2, record))
-        try:
-            name = body.read(name_len, f"name of {record}").decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"{record}: the name is not UTF-8") from None
-        if name in params:
-            raise FormatError(f"{record} repeats tensor {name!r}")
-        (rank,) = struct.unpack("<H", body.read(2, f"rank of {name}"))
-        shape = struct.unpack(f"<{rank}Q", body.read(8 * rank, f"shape of {name}"))
-        body.need(8 * math.prod(shape), f"data of {name}")
-        data = np.empty(shape, dtype="<f8")
-        body.read_into(data.reshape(-1), f"data of {name}")
-        params[name] = data.astype(np.float64, copy=False)
     return Checkpoint(config, vocab, params, best_f1, best_epoch)
+
+
+def _npy_tensor(data):
+    """The ``<f8`` array a ``.npy`` member's bytes hold, as a view of them.
+
+    The header is checked against the bytes after it before the array
+    exists, so a forged shape allocates nothing.
+    """
+    stream = io.BytesIO(data)
+    if np.lib.format.read_magic(stream) != (1, 0):
+        raise ValueError("not a version 1.0 .npy header")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(stream)
+    size = len(data) - stream.tell()
+    if dtype != np.dtype("<f8") or fortran_order or 8 * math.prod(shape) != size:
+        raise ValueError(f"header says {dtype.str}, {'Fortran' if fortran_order else 'C'}"
+                         f" order, shape {shape}; a tensor must be C-order <f8 filling"
+                         f" the {size} data bytes that follow")
+    return np.frombuffer(data, "<f8", offset=stream.tell()).reshape(shape)
 
 
 class _NoDraw:

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -263,11 +264,20 @@ class TestExitCodes:
         assert main(["eval", "--model", str(workdir / "model.ckpt"),
                      "--data", str(bad)]) == 2
 
-    def test_corrupt_checkpoint_is_data_error(self, workdir, tmp_path):
+    def test_corrupt_checkpoint_is_data_error(self, workdir, tmp_path, capsys):
+        raw = bytearray((workdir / "model.ckpt").read_bytes())
+        with zipfile.ZipFile(workdir / "model.ckpt") as zf:
+            info = zf.infolist()[-1]
+            end = raw.index(zf.read(info), info.header_offset) + info.file_size
+        raw[end - 8] ^= 1  # the lowest mantissa bit of the last float
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(b"not a checkpoint")
-        assert main(["eval", "--model", str(bad),
-                     "--data", str(workdir / "dev.tsv")]) == 2
+        for contents, named in ((b"not a checkpoint", "File is not a zip file"),
+                                (raw, f"member '{info.filename}': Bad CRC-32")):
+            bad.write_bytes(bytes(contents))
+            capsys.readouterr()
+            assert main(["eval", "--model", str(bad),
+                         "--data", str(workdir / "dev.tsv")]) == 2
+            assert named in capsys.readouterr().err
 
     def test_wrongly_typed_checkpoint_metadata_is_data_error(self, workdir, tmp_path,
                                                              capsys):

@@ -1,9 +1,13 @@
 """Optimizer, training loop, checkpoint, and tree randomization tests."""
 
 import hashlib
+import io
 import json
-import struct
-import zlib
+import os
+import stat
+import tracemalloc
+import warnings
+import zipfile
 from collections import Counter
 
 import numpy as np
@@ -466,107 +470,166 @@ class TestCheckpoint:
         for name, arr in want.items():
             assert np.array_equal(named[name].data, arr), name
 
+    def saved(self, tmp_path):
+        """A saved checkpoint's path and its (name, bytes) members in file order."""
+        result, _ = self.run_small()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(result.checkpoint, path)
+        with zipfile.ZipFile(path) as zf:
+            return path, [(info.filename, zf.read(info)) for info in zf.infolist()]
+
+    @staticmethod
+    def write_zip(path, members):
+        """Write (name, bytes) members as a stored zip with valid CRC-32s."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # zipfile warns on a repeated name
+            with zipfile.ZipFile(path, "w") as zf:
+                for name, data in members:
+                    zf.writestr(name, data)
+
+    @staticmethod
+    def patch_in_place(path, member, offset, new):
+        """Overwrite bytes of one member's stored data, leaving its CRC-32 stale."""
+        raw = bytearray(path.read_bytes())
+        with zipfile.ZipFile(path) as zf:
+            info = zf.getinfo(member)
+            start = raw.index(zf.read(info), info.header_offset) + offset % info.file_size
+        raw[start: start + len(new)] = new
+        path.write_bytes(bytes(raw))
+
+    @staticmethod
+    def npy_header(shape):
+        buf = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            buf, {"descr": "<f8", "fortran_order": False, "shape": shape})
+        return buf.getvalue()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(FormatError,
+                           match="bad checkpoint zip directory: File is not a zip file"):
             load_checkpoint(path)
 
     def test_unsupported_version(self, tmp_path):
-        result, _ = self.run_small()
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(result.checkpoint, path)
-        raw = bytearray(path.read_bytes())
-        raw[4:6] = (99).to_bytes(2, "little")
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="version"):
+        path, members = self.saved(tmp_path)
+        assert members[0][0] == "meta.json"
+        meta = json.loads(members[0][1])
+        meta["version"] = 99
+        self.write_zip(path, [("meta.json", json.dumps(meta))] + members[1:])
+        with pytest.raises(FormatError, match="unsupported checkpoint version 99"):
             load_checkpoint(path)
 
     def test_version_1_rejected(self, tmp_path):
-        result, _ = self.run_small()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(result.checkpoint, path)
-        raw = bytearray(path.read_bytes())
-        raw[4:6] = (1).to_bytes(2, "little")
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="unsupported checkpoint version 1"):
+        path.write_bytes(b"SYNL" + (1).to_bytes(2, "little") + b"\x00" * 64)
+        with pytest.raises(FormatError, match="unsupported checkpoint version 1 "):
+            load_checkpoint(path)
+
+    def test_version_2_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"SYNL" + (2).to_bytes(2, "little") + b"\x00" * 64)
+        with pytest.raises(FormatError, match=r"unsupported checkpoint version 2 "
+                                              r"\(there is no converter"):
             load_checkpoint(path)
 
     def test_flipped_payload_bit_rejected(self, tmp_path):
-        result, _ = self.run_small()
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(result.checkpoint, path)
-        raw = bytearray(path.read_bytes())
-        # the lowest mantissa bit of the last float: the record still parses
-        raw[-8] ^= 1
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="checksum"):
+        path, members = self.saved(tmp_path)
+        name, data = members[-1]
+        # the lowest mantissa bit of the last float: the .npy still parses
+        self.patch_in_place(path, name, -8, bytes([data[-8] ^ 1]))
+        with pytest.raises(FormatError,
+                           match=f"bad checkpoint member '{name}': Bad CRC-32"):
             load_checkpoint(path)
 
     def test_flipped_metadata_byte_rejected_by_checksum(self, tmp_path):
-        result, _ = self.run_small()
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(result.checkpoint, path)
-        raw = bytearray(path.read_bytes())
-        raw[18] ^= 0xFF  # the metadata's opening brace: the JSON no longer parses
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="checksum"):
+        path, members = self.saved(tmp_path)
+        assert members[0][1][:1] == b"{"
+        # the metadata's opening brace: the JSON no longer parses
+        self.patch_in_place(path, "meta.json", 0, bytes([ord("{") ^ 0xFF]))
+        with pytest.raises(FormatError,
+                           match="bad checkpoint member 'meta.json': Bad CRC-32"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("fix_crc", [False, True], ids=["raw", "crc-fixed"])
     def test_huge_size_fields_are_rejected_before_allocating(self, tmp_path, fix_crc):
-        result, _ = self.run_small()
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(result.checkpoint, path)
-        raw = bytearray(path.read_bytes())
-        (meta_len,) = struct.unpack_from("<Q", raw, 10)
-        record = 18 + meta_len
-        (name_len,) = struct.unpack_from("<H", raw, record)
-        shape_at = record + 2 + name_len + 2  # the first dimension
-        for offset in (10, shape_at):  # the metadata size, then a shape
-            bad = bytearray(raw)
-            struct.pack_into("<Q", bad, offset, 2**40)
-            if fix_crc:
-                struct.pack_into("<I", bad, 6, zlib.crc32(bad[10:]))
-            path.write_bytes(bytes(bad))
-            with pytest.raises(FormatError,
-                               match="truncated" if fix_crc else "checksum"):
+        path, members = self.saved(tmp_path)
+        name, data = members[1]
+        forged = self.npy_header((2**40,))  # 8 TiB of float64
+        assert data[:len(forged)] != forged
+        assert len(forged) == len(self.npy_header(np.load(io.BytesIO(data)).shape))
+        if fix_crc:
+            self.write_zip(path, [(n, forged + d[len(forged):] if n == name else d)
+                                  for n, d in members])
+            match = rf"member '{name}': header says <f8, C order, shape \(1099511627776,\)"
+        else:
+            self.patch_in_place(path, name, 0, forged)
+            match = f"member '{name}': Bad CRC-32"
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=match):
                 load_checkpoint(path)
-
-    def _first_record(self, tmp_path):
-        """A saved checkpoint's bytes, its path, and the first tensor record's
-        (start, name length, end) offsets."""
-        result, _ = self.run_small()
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(result.checkpoint, path)
-        raw = bytearray(path.read_bytes())
-        (meta_len,) = struct.unpack_from("<Q", raw, 10)
-        start = 18 + meta_len
-        (name_len,) = struct.unpack_from("<H", raw, start)
-        (rank,) = struct.unpack_from("<H", raw, start + 2 + name_len)
-        dims = struct.unpack_from(f"<{rank}Q", raw, start + 4 + name_len)
-        end = start + 4 + name_len + 8 * rank + 8 * int(np.prod(dims))
-        return raw, path, (start, name_len, end)
-
-    @staticmethod
-    def _write_with_crc(path, raw):
-        struct.pack_into("<I", raw, 6, zlib.crc32(raw[10:]))
-        path.write_bytes(bytes(raw))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
     def test_non_utf8_tensor_name_is_a_format_error(self, tmp_path):
-        raw, path, (start, _, _) = self._first_record(tmp_path)
-        raw[start + 2] = 0xFF  # never valid in UTF-8
-        self._write_with_crc(path, raw)
-        with pytest.raises(FormatError, match="tensor record 0: the name is not UTF-8"):
+        path, members = self.saved(tmp_path)
+        name, data = members[1]
+        self.write_zip(path, members[:1] + [("\u00e9" + name, data)] + members[2:])
+        # zipfile marks a non-ASCII name as UTF-8; make its bytes invalid UTF-8
+        raw = path.read_bytes()
+        assert raw.count("\u00e9".encode()) == 2  # the local and the central header
+        path.write_bytes(raw.replace("\u00e9".encode(), b"\xff\xff"))
+        with pytest.raises(FormatError,
+                           match="bad checkpoint zip directory: 'utf-8' codec can't decode"):
             load_checkpoint(path)
 
+    def test_unknown_member_is_a_format_error(self, tmp_path):
+        path, members = self.saved(tmp_path)
+        self.write_zip(path, members + [("notes.txt", b"hello")])
+        with pytest.raises(FormatError, match="bad checkpoint member 'notes.txt': "
+                                              "neither meta.json nor a .npy tensor"):
+            load_checkpoint(path)
+        self.write_zip(path, members + [("cell_fwd.W_q.npy", members[1][1])])
+        ckpt = load_checkpoint(path)
+        with pytest.raises(FormatError, match=r"unexpected \['cell_fwd.W_q'\]"):
+            build_model(ckpt)
+
     def test_repeated_tensor_record_is_a_format_error(self, tmp_path):
-        raw, path, (start, name_len, end) = self._first_record(tmp_path)
-        name = raw[start + 2: start + 2 + name_len].decode("utf-8")
-        count = len(load_checkpoint(path).params)
-        self._write_with_crc(path, raw + raw[start:end])
+        path, members = self.saved(tmp_path)
+        name, data = members[1]
+        self.write_zip(path, members + [(name, data)])
         with pytest.raises(FormatError,
-                           match=f"tensor record {count} repeats tensor '{name}'"):
+                           match=f"bad checkpoint member '{name}': the name is repeated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("layout", ["int64", "fortran"])
+    def test_tensor_member_must_be_c_order_float64(self, tmp_path, layout):
+        path, members = self.saved(tmp_path)
+        at, name, arr = next((k, n, np.load(io.BytesIO(d)))
+                             for k, (n, d) in enumerate(members)
+                             if n.endswith(".npy") and np.load(io.BytesIO(d)).ndim == 2)
+        buf = io.BytesIO()
+        if layout == "int64":  # the same byte count, so only the dtype check sees it
+            np.save(buf, arr.astype("<i8"))
+            said = "<i8, C order"
+        else:
+            np.save(buf, np.asfortranarray(arr))
+            said = "<f8, Fortran order"
+        self.write_zip(path, members[:at] + [(name, buf.getvalue())] + members[at + 1:])
+        with pytest.raises(FormatError,
+                           match=f"bad checkpoint member '{name}': header says {said}"):
+            load_checkpoint(path)
+
+    def test_compressed_member_is_a_format_error(self, tmp_path):
+        path, members = self.saved(tmp_path)
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+            for name, data in members:
+                zf.writestr(name, data)
+        with pytest.raises(FormatError, match="bad checkpoint member 'meta.json': "
+                                              "the member is compressed"):
             load_checkpoint(path)
 
     def test_truncation_detected(self, tmp_path):
@@ -603,6 +666,30 @@ class TestCheckpoint:
         save_checkpoint(result.checkpoint, path)
         assert load_checkpoint(path).best_epoch == result.checkpoint.best_epoch
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_save_syncs_the_file_then_its_directory(self, tmp_path, monkeypatch):
+        result, _ = self.run_small()
+        path = tmp_path / "model.ckpt"
+        synced, fsync = [], os.fsync
+
+        def record(fd):
+            st = os.fstat(fd)
+            synced.append((stat.S_ISDIR(st.st_mode), st.st_ino, path.exists()))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", record)
+        save_checkpoint(result.checkpoint, path)
+        # the finished temporary file before the rename, its directory after it
+        assert synced == [(False, path.stat().st_ino, False),
+                          (True, tmp_path.stat().st_ino, True)]
+
+    def test_saved_bytes_depend_only_on_the_checkpoint(self, tmp_path):
+        result, _ = self.run_small()
+        save_checkpoint(result.checkpoint, tmp_path / "a.ckpt")
+        save_checkpoint(result.checkpoint, tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+        with np.load(tmp_path / "a.ckpt") as npz:  # numpy reads the tensors directly
+            assert np.array_equal(npz["crf.emit_b"], result.checkpoint.params["crf.emit_b"])
 
     def test_shape_mismatch_rejected(self, tmp_path):
         result, _ = self.run_small()
