@@ -215,15 +215,18 @@ def add(a, b):
 
 
 def mul(a, b):
+    """Elementwise product; no gradient is formed for a constant operand,
+    such as a dropout mask."""
     a, b = _wrap(a), _wrap(b)
     _broadcast_check(a, b, "mul")
     out = Tensor(a.data * b.data)
     a_data, b_data = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bk(g):
         return (
-            _unbroadcast(g * b_data, a_data.shape),
-            _unbroadcast(g * a_data, b_data.shape),
+            _unbroadcast(g * b_data, a_data.shape) if need_a else None,
+            _unbroadcast(g * a_data, b_data.shape) if need_b else None,
         )
 
     return record(out, (a, b), bk)

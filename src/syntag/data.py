@@ -62,7 +62,8 @@ def validate_tree(heads, sentence_index=None):
 
     Raises TreeValidationError otherwise. The walk-to-root check below is
     enough: with exactly one zero head, n nodes have n-1 parent edges, and
-    the structure is a tree iff no walk revisits a node.
+    the structure is a tree iff no walk revisits a node. A cycle is named
+    by the first token whose walk never reaches the root.
     """
     n = len(heads)
     where = f" in sentence {sentence_index}" if sentence_index is not None else ""
@@ -78,16 +79,17 @@ def validate_tree(heads, sentence_index=None):
         raise TreeValidationError(
             f"expected exactly one root, found {len(roots)}{where}"
         )
+    # walk[i] is the first walk that passed token i. A walk ends at the root
+    # or at a token an earlier walk passed, which reached the root, so every
+    # token is stepped through once; meeting its own walk is a cycle.
+    walk = [-1] * n
     for start in range(n):
-        seen = set()
         node = start
-        while heads[node] != 0:
-            if node in seen:
-                raise TreeValidationError(
-                    f"cycle through token {start + 1}{where}"
-                )
-            seen.add(node)
+        while walk[node] < 0 and heads[node] != 0:
+            walk[node] = start
             node = heads[node] - 1
+        if walk[node] == start:
+            raise TreeValidationError(f"cycle through token {start + 1}{where}")
 
 
 @lru_cache(maxsize=4096)

@@ -45,14 +45,16 @@ def _keep_freed_memory():
     """Keep the memory each step frees in glibc's heap; the mallopt results.
 
     By default glibc unmaps freed large arrays and trims the heap top, so
-    every training step faults its pages in again. Once per process; a
-    no-op off glibc.
+    every training step faults its pages in again; and it gives the thread
+    that runs a recurrence's reverse direction an arena of its own, whose
+    pages fault in anew. Once per process; a no-op off glibc.
     """
     if platform.libc_ver()[0] != "glibc":
         return ()
     mallopt = ctypes.CDLL(None).mallopt
     return (mallopt(-3, 32 << 20),  # M_MMAP_THRESHOLD at its 64-bit maximum
-            mallopt(-1, 1 << 30))   # M_TRIM_THRESHOLD
+            mallopt(-1, 1 << 30),   # M_TRIM_THRESHOLD
+            mallopt(-8, 1))         # M_ARENA_MAX: every thread shares one heap
 
 
 @dataclass

@@ -39,11 +39,25 @@ runs a hand-written BPTT per direction: the reverse loop only carries the h
 and c gradients, and the weight and input gradients are single matmuls after
 it. With no tape active the kernel keeps no backward caches, only the gate
 activations when the caller asks for them.
+
+The two directions are independent, and so are their BPTTs. When the
+``h @ W_h`` of a call's average step is larger than ``_CONCURRENT_WORK``
+multiply-adds and the process may run on more than one CPU, the reverse
+direction runs on one worker thread while the calling thread runs the
+forward one, and the backward does the same; other calls run both on the
+calling thread. numpy releases the interpreter lock inside GEMMs and large
+elementwise loops, so the two overlap on two cores; BLAS itself stays at
+one thread. The directions write disjoint arrays and
+are combined in a fixed order, so the results are the same bits either way.
+Each projection block gathers its own rows of x and g (again in the
+backward), so no whole-batch copy of either stream is alive per direction.
 """
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_right
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -57,6 +71,17 @@ _SIGMOID_GATES = frozenset("ifom")
 # Packed rows per input-projection GEMM. A block is whole steps, so a step
 # longer than this is a block of its own.
 _BLOCK_ROWS = 128
+# A call runs its two directions on two threads when the ``h @ W_h`` of its
+# average step does more multiply-adds than this: live rows * gate width * H.
+# Below about 2^19, handing the interpreter lock back and forth at every step
+# costs more than the second core saves. The cut sits higher because on a
+# shared host a busy second core also slows the single-threaded work that
+# follows; between 2^19 and 2^21 that cost outweighed the saving.
+_CONCURRENT_WORK = 1 << 21
+# The one thread that runs the reverse direction of a concurrent call. A task
+# on it must never call ``bidirectional``: that call would queue its own
+# reverse direction behind itself and wait forever.
+_REVERSE = ThreadPoolExecutor(max_workers=1, thread_name_prefix="syntag-reverse")
 
 
 class LstmParams:
@@ -143,8 +168,6 @@ def _direction(x, g, p, src, live, order, out, final, keep, acts):
     scale = np.repeat([0.5 if gate in _SIGMOID_GATES else 1.0 for gate in gates],
                       hidden)
     shift = 1.0 - scale
-    xp = x[src]
-    gp = None if g is None else g[src]
     tokens = len(src)
     ends = np.cumsum(live)
     if keep and acts is None:
@@ -163,14 +186,17 @@ def _direction(x, g, p, src, live, order, out, final, keep, acts):
         if span.start == top:
             # Project the inputs of the whole steps within _BLOCK_ROWS rows
             # from here, and of this step at least, in one GEMM per stream.
+            # Each block gathers its own input rows, so no whole-batch copy
+            # of x or g is alive beside the other direction's.
             base = top
             top = stops[max(t, bisect_right(stops, base + _BLOCK_ROWS) - 1)]
-            x_proj = xp[base:top] @ w_x
-            g_proj = None if gp is None else gp[base:top] @ w_g
+            rows = src[base:top]
+            x_proj = x[rows] @ w_x
+            g_proj = None if g is None else g[rows] @ w_g
         rel = slice(span.start - base, span.stop - base)
         pre = h[:k] @ w_h
         pre[:, :tok] += x_proj[rel]
-        if gp is not None:
+        if g is not None:
             pre[:, grf:] += g_proj[rel]
         pre += bias
         pre *= scale
@@ -179,7 +205,7 @@ def _direction(x, g, p, src, live, order, out, final, keep, acts):
         pre += shift
         act = pre.reshape(k, -1, hidden)  # act[:, j] is gate gates[j]
         c_new = act[:, 2] * c[:k] + act[:, 0] * act[:, 1]
-        if gp is not None:
+        if g is not None:
             c_new += act[:, 4] * act[:, 5]
         tc = np.tanh(c_new)
         c[:k] = c_new
@@ -237,12 +263,13 @@ def _direction(x, g, p, src, live, order, out, final, keep, acts):
         dx = np.zeros(x.shape)
         dx[src] = d_tok @ w_x.T
         dw_h, db = seq[prev].T @ d2[live[0]:], d2.sum(axis=0)
+        dw_x = x[src].T @ d_tok
         if g is None:
-            return dx, xp.T @ d_tok, dw_h, db
+            return dx, dw_x, dw_h, db
         d_grf = d2[:, grf:]
         dg = np.zeros(g.shape)
         dg[src] = d_grf @ w_g.T
-        return dx, dg, xp.T @ d_tok, gp.T @ d_grf, dw_h, db
+        return dx, dg, dw_x, g[src].T @ d_grf, dw_h, db
 
     return backward
 
@@ -263,7 +290,9 @@ def bidirectional(x, g, lengths, fwd, bwd, final=False, gates=None):
     GATE_NAMES appends to ``gates[name]`` one (tokens, 2, H) array: its
     activations at the batch's real positions in row order, direction 0
     forward. Under a tape the result is one node over x, g and both
-    directions' parameters.
+    directions' parameters. A large call runs its reverse direction on the
+    ``_REVERSE`` thread (see the module docstring), so a task on that thread
+    must never call this function.
     """
     if (g is None) != (fwd.graph_dim is None):
         raise ContractError("a graph stream needs graph-gated parameters and vice versa")
@@ -297,32 +326,60 @@ def bidirectional(x, g, lengths, fwd, bwd, final=False, gates=None):
     streams = (x,) if g is None else (x, g)
     inputs = streams + tuple(w for p in (fwd, bwd) for w in p.parameters().values())
     keep = ad.recording(inputs)
-    backward_fns, acts = [], []
-    for side, p in enumerate((fwd, bwd)):
-        cols = slice(side * hidden, (side + 1) * hidden)
+    concurrent = (len(step) * len(fwd.gates) * hidden * hidden
+                  > _CONCURRENT_WORK * n_max) and _spare_core()
+    cols = (slice(0, hidden), slice(hidden, 2 * hidden))
+
+    def run(side):
+        p = (fwd, bwd)[side]
         act = None if gates is None else np.empty((len(step), len(p.gates), hidden))
-        backward_fns.append(_direction(
+        return act, _direction(
             x.data, None if g is None else g.data, p, sent * n_max + positions[side],
-            live, order, flat[:, cols], final, keep, act))
-        acts.append(act)
+            live, order, flat[:, cols[side]], final, keep, act)
+
+    (acts_fwd, bk_fwd), (acts_bwd, bk_bwd) = _both_sides(run, concurrent)
     if gates is not None:
         starts = np.cumsum(lengths) - lengths
         for k, name in enumerate(fwd.gates):
             if name in GATE_NAMES:
                 stacked = np.empty((len(step), 2, hidden))
-                for side, act in enumerate(acts):
+                for side, act in enumerate((acts_fwd, acts_bwd)):
                     stacked[starts[sent] + positions[side], side] = act[:, k]
                 gates.setdefault(name, []).append(stacked)
 
     def backward(grad):
-        # Reverse direction first: the forward pass ran it last.
-        d_bwd = backward_fns[1](grad[:, hidden:])
-        d_fwd = backward_fns[0](grad[:, :hidden])
+        d_fwd, d_bwd = _both_sides(
+            lambda side: (bk_fwd, bk_bwd)[side](grad[:, cols[side]]), concurrent)
         n = len(streams)  # x and g get the sum of both directions' gradients
         return (tuple(b + f for b, f in zip(d_bwd[:n], d_fwd[:n]))
                 + d_fwd[n:] + d_bwd[n:])
 
     return ad.record(Tensor(flat), inputs, backward)
+
+
+def _spare_core():
+    """Whether this process may run on more than one CPU."""
+    try:
+        return len(os.sched_getaffinity(0)) > 1
+    except AttributeError:  # no affinity call on this platform
+        return (os.cpu_count() or 1) > 1
+
+
+def _both_sides(task, concurrent):
+    """``(task(0), task(1))``, side 1 on the ``_REVERSE`` thread if ``concurrent``.
+
+    Both tasks have finished when this returns or raises; an exception in
+    either propagates, the calling thread's first. Neither task may write
+    what the other reads or writes; then the results do not depend on
+    ``concurrent``.
+    """
+    if not concurrent:
+        return task(0), task(1)
+    reverse = _REVERSE.submit(task, 1)
+    try:
+        return task(0), reverse.result()
+    finally:
+        wait((reverse,))
 
 
 def run_graph_bidirectional_batch(x_flat, g_flat, lengths, fwd, bwd):

@@ -42,7 +42,11 @@ def sgd_step(params, rate, l2=0.0):
         if p.grad is None:
             raise ContractError(f"parameter {name!r} has no gradient")
     for p in params.values():
-        p.data -= rate * (p.grad + l2 * p.data)
+        # rate * (grad + l2 * data), in that order, in one temporary.
+        t = p.data * l2
+        t += p.grad
+        t *= rate
+        p.data -= t
         p.grad = None
 
 

@@ -28,6 +28,9 @@ the same jobs one sentence or one step at a time, from loops and tape ops.
   ``data.decode_label_spans``, which reads ``data.tag_may_follow``.
 * ``config_text``: writes the ``key = value`` form that
   ``ModelConfig.from_file`` reads.
+* ``validate_tree``: walks from every token to the root afresh; checks that
+  ``data.validate_tree``, which walks each token once, raises the same
+  errors.
 """
 
 import dataclasses
@@ -39,7 +42,7 @@ import numpy as np
 from syntag import crf
 from syntag import recurrent as rc
 from syntag.autodiff import Tensor, constant, matmul, record, relu, rows
-from syntag.errors import ContractError, DimensionError
+from syntag.errors import ContractError, DimensionError, TreeValidationError
 
 
 @dataclass
@@ -326,3 +329,31 @@ def config_text(config):
             v = str(v).lower()  # none, true, false
         lines.append(f"{f.name} = {v}\n")
     return "".join(lines)
+
+
+def validate_tree(heads, sentence_index=None):
+    """``data.validate_tree`` with a fresh walk to the root from every token."""
+    n = len(heads)
+    where = f" in sentence {sentence_index}" if sentence_index is not None else ""
+    roots = [i for i, h in enumerate(heads) if h == 0]
+    for i, h in enumerate(heads):
+        if not 0 <= h <= n:
+            raise TreeValidationError(
+                f"head {h} of token {i + 1} out of range 0..{n}{where}"
+            )
+        if h == i + 1:
+            raise TreeValidationError(f"token {i + 1} is its own head{where}")
+    if len(roots) != 1:
+        raise TreeValidationError(
+            f"expected exactly one root, found {len(roots)}{where}"
+        )
+    for start in range(n):
+        seen = set()
+        node = start
+        while heads[node] != 0:
+            if node in seen:
+                raise TreeValidationError(
+                    f"cycle through token {start + 1}{where}"
+                )
+            seen.add(node)
+            node = heads[node] - 1

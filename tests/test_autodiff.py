@@ -189,6 +189,17 @@ class TestTapeSemantics:
         assert c.grad is None
         assert x.grad is not None
 
+    def test_mul_forms_no_gradient_for_a_constant(self):
+        x = ad.Tensor(np.arange(1.0, 4.0), requires_grad=True)
+        mask = ad.constant(np.array([0.0, 2.0, 2.0]))
+        for a, b in ((x, mask), (mask, x)):
+            with ad.Tape() as tape:
+                ad.mul(a, b)
+            (out, inputs, bk), = tape._nodes
+            grads = bk(np.ones(3))
+            assert [g is None for g in grads] == [t is mask for t in inputs]
+            np.testing.assert_array_equal(grads[inputs.index(x)], mask.data)
+
     def test_no_recording_outside_tape(self):
         x = ad.Tensor(np.ones(3), requires_grad=True)
         y = reference.total(x * 3.0)

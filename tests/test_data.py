@@ -165,6 +165,38 @@ class TestParsing:
         text = data.serialize_corpus(corpus)
         assert data._parse_lines(text.split("\n"), "bioes") == corpus
 
+    @settings(max_examples=300, deadline=None)
+    @given(data_=st.data())
+    def test_validation_raises_the_reference_walks_errors(self, data_):
+        n = data_.draw(st.integers(1, 12))
+        if data_.draw(st.booleans()):
+            heads = data_.draw(st.lists(st.integers(-1, n + 1), min_size=n, max_size=n))
+        else:  # one root and in-range heads: trees, self-heads and cycles
+            heads = data_.draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
+            heads[data_.draw(st.integers(0, n - 1))] = 0
+        index = data_.draw(st.sampled_from([None, 4]))
+        messages = []
+        for validate in (data.validate_tree, reference.validate_tree):
+            try:
+                validate(heads, sentence_index=index)
+                messages.append(None)
+            except TreeValidationError as exc:
+                messages.append(str(exc))
+        assert messages[0] == messages[1], heads
+
+    def test_validation_steps_through_each_token_once(self):
+        class Counted(list):
+            reads = 0
+
+            def __getitem__(self, i):
+                Counted.reads += 1
+                return super().__getitem__(i)
+
+        n = 300
+        heads = Counted(list(range(2, n + 1)) + [0])  # one chain down to token n
+        data.validate_tree(heads)
+        assert Counted.reads < 4 * n
+
     def test_validation_agrees_with_union_find_oracle(self):
         rng = np.random.default_rng(7)
         agree = 0

@@ -7,7 +7,9 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 import reference
 import syntag
 from syntag import model as model_mod
+from syntag import recurrent
 from syntag.autodiff import Tape, backward
 from syntag.data import build_vocab
 from syntag.errors import ContractError, FormatError
@@ -365,6 +368,35 @@ class TestDecoding:
             gate_mean(plain_gates, "m")
 
 
+class TestConcurrentCallers:
+    def test_threads_predicting_on_one_model_get_the_sequential_labels(self):
+        model, corpus = make_model(count=12, length=7)
+        results = {}
+
+        def work(k):
+            results[k] = [model.predict(corpus, batch_size=4) for _ in range(4)]
+
+        # Every call runs its directions on two threads, so three callers
+        # share the one reverse thread; a short switch interval interleaves
+        # them often.
+        with mock.patch.object(recurrent, "_CONCURRENT_WORK", 0), \
+                mock.patch.object(recurrent, "_spare_core", lambda: True):
+            want = model.predict(corpus, batch_size=4)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=work, args=(k,), daemon=True)
+                           for k in range(3)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads), "deadlocked"
+        assert results == {k: [want] * 4 for k in range(3)}
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_same_seed_same_parameters(self, variant):
@@ -443,15 +475,15 @@ class TestAllocatorSettings:
         assert model_mod._keep_freed_memory() == ()
         assert calls == []
 
-    def test_two_mallopt_calls_once_per_process(self, monkeypatch):
+    def test_three_mallopt_calls_once_per_process(self, monkeypatch):
         calls = self.fake_libc(monkeypatch, "glibc")
         make_model()
         make_model(variant="bilstm-crf")
-        assert calls == [(-3, 32 << 20), (-1, 1 << 30)]
+        assert calls == [(-3, 32 << 20), (-1, 1 << 30), (-8, 1)]
 
     @pytest.mark.skipif(not GLIBC, reason="needs glibc")
-    def test_glibc_accepts_both_settings(self):
-        assert model_mod._keep_freed_memory() == (1, 1)
+    def test_glibc_accepts_all_three_settings(self):
+        assert model_mod._keep_freed_memory() == (1, 1, 1)
 
     @pytest.mark.skipif(not GLIBC, reason="needs glibc")
     def test_steady_state_train_steps_fault_few_pages(self):

@@ -1,5 +1,8 @@
 """Tests for the recurrent kernel and its reference cells."""
 
+import contextlib
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -400,7 +403,115 @@ def _check_against_chain(graph, lengths, seed):
                                    atol=1e-13, err_msg=name)
 
 
+@contextlib.contextmanager
+def _directions_watched(seen, fail=None, here_fails=False):
+    """Patch ``rc._direction`` to note in ``seen`` each (stage, on the
+    calling thread) of every direction's forward and backward. In ``fail``,
+    a stage, the calling thread's direction raises RuntimeError if
+    ``here_fails``, else the other thread's; the side that does not raise
+    notes ("done", stage) a moment later."""
+    real = rc._direction
+
+    def note(stage, run):
+        here = threading.current_thread() is threading.main_thread()
+        seen.append((stage, here))
+        if stage == fail and here == here_fails:
+            raise RuntimeError(f"{stage} failed on thread {here}")
+        result = run()
+        if stage == fail:
+            time.sleep(0.05)
+            seen.append(("done", stage))
+        return result
+
+    def spy(*args):
+        bk = note("forward", lambda: real(*args))
+        if bk is None:
+            return None
+        return lambda grad: note("backward", lambda: bk(grad))
+
+    with mock.patch.object(rc, "_direction", spy):
+        yield
+
+
+def _concurrency(threshold, spare_core=True):
+    """Patch the kernel's work cut and whether a second CPU is available."""
+    stack = contextlib.ExitStack()
+    stack.enter_context(mock.patch.object(rc, "_CONCURRENT_WORK", threshold))
+    stack.enter_context(mock.patch.object(rc, "_spare_core", lambda: spare_core))
+    return stack
+
+
+def _everything(graph, lengths, seed):
+    """Outputs, ``final`` states, gates and every gradient of one case."""
+    fwd, bwd, x, g, rng = _kernel_case(graph, seed, lengths)
+    width = 2 * fwd.hidden
+    weights = ad.constant(rng.normal(size=(x.data.shape[0], width)))
+    final_weights = ad.constant(rng.normal(size=(len(lengths), width)))
+    gates = {}
+    got = {"out": _run(x, g, fwd, bwd, lengths, gates=gates).data,
+           "final": rc.bidirectional(x, g, lengths, fwd, bwd, final=True).data}
+    got.update((f"gate {name}", arrays[0]) for name, arrays in gates.items())
+
+    def loss():
+        final = rc.bidirectional(x, g, lengths, fwd, bwd, final=True)
+        return (reference.total(_run(x, g, fwd, bwd, lengths) * weights)
+                + reference.total(final * final_weights))
+
+    got.update(_grads(_tracked(fwd, bwd, x, g), loss))
+    return got
+
+
 class TestKernel:
+    @pytest.mark.parametrize("lengths", [LENGTHS, [14, 3, 20, 9, 1, 17, 12, 5,
+                                                   20, 8, 16, 11, 13]],
+                             ids=["short", "many-blocks"])
+    @pytest.mark.parametrize("graph", [True, False], ids=["graph", "plain"])
+    def test_concurrent_directions_are_bitwise_inline(self, graph, lengths):
+        runs = []
+        # Concurrent, inline by the work cut, inline on one CPU.
+        for threshold, spare_core, here in ((0, True, False), (float("inf"), True, True),
+                                            (0, False, True)):
+            seen = []
+            with _concurrency(threshold, spare_core), _directions_watched(seen):
+                runs.append(_everything(graph, lengths, seed=37))
+            # Four calls, two of them taped; each runs the forward direction
+            # on this thread, and the reverse one only when inline.
+            assert seen.count(("forward", True)) == (8 if here else 4)
+            assert seen.count(("backward", True)) == (4 if here else 2)
+            assert len(seen) == 12
+        concurrent, *inline = runs
+        for other in inline:
+            assert sorted(concurrent) == sorted(other)
+            for name, value in other.items():
+                np.testing.assert_array_equal(concurrent[name], value, err_msg=name)
+
+    def test_a_spare_core_needs_two_cpus(self):
+        for cpus, spare in (({0}, False), ({0, 3}, True)):
+            with mock.patch.object(rc.os, "sched_getaffinity", lambda pid: cpus,
+                                   create=True):
+                assert rc._spare_core() is spare
+
+    @pytest.mark.parametrize("here_fails", [False, True], ids=["reverse", "calling"])
+    @pytest.mark.parametrize("stage", ["forward", "backward"])
+    def test_errors_propagate_after_both_directions_end(self, stage, here_fails):
+        fwd, bwd, x, g, rng = _kernel_case(True, seed=38)
+        tracked = _tracked(fwd, bwd, x, g)
+        weights = ad.constant(rng.normal(size=(x.data.shape[0], 8)))
+
+        def loss():
+            return reference.total(_run(x, g, fwd, bwd) * weights)
+
+        with _concurrency(0):
+            want = _grads(tracked, loss)
+            seen = []
+            with _directions_watched(seen, stage, here_fails), \
+                    pytest.raises(RuntimeError, match=f"{stage} failed"):
+                _grads(tracked, loss)
+            assert ("done", stage) in seen  # the other direction had ended
+            got = _grads(tracked, loss)  # the reverse thread still serves
+        for name, value in want.items():
+            np.testing.assert_array_equal(got[name], value, err_msg=name)
+
     @pytest.mark.parametrize("graph", [True, False], ids=["graph", "plain"])
     def test_matches_chain_of_reference_steps(self, graph):
         _check_against_chain(graph, LENGTHS, seed=21)

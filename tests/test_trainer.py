@@ -64,6 +64,20 @@ class TestSgdStep:
         assert np.allclose(p.data, expected)
         assert p.grad is None
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.sampled_from([(1,), (7,), (3, 5), (2, 3, 4)]),
+           rate=st.floats(1e-4, 2.0), l2=st.sampled_from([0.0, 1e-8, 1e-3, 0.5]))
+    def test_update_is_bitwise_the_one_line_rule(self, seed, shape, rate, l2):
+        rng = np.random.default_rng(seed)
+        data, grad = rng.normal(size=shape) * 3, rng.normal(size=shape)
+        grad.flat[0] = -0.0
+        p = Tensor(data.copy(), requires_grad=True)
+        p.grad = grad.copy()
+        sgd_step({"p": p}, rate=rate, l2=l2)
+        np.testing.assert_array_equal(p.data.view(np.uint64),
+                                      (data - rate * (grad + l2 * data)).view(np.uint64))
+
     def test_missing_gradient_is_an_error(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         q = Tensor(np.array([2.0]), requires_grad=True)
