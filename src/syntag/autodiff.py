@@ -275,8 +275,9 @@ def bmm_const(mats, a):
 
 
 def relu(a):
-    out_data = np.maximum(a.data, 0.0)
-    out = Tensor(out_data)
+    out = Tensor(np.maximum(a.data, 0.0))
+    if not recording((a,)):
+        return out
     positive = a.data > 0.0  # derivative at exactly 0 is defined as 0
 
     def bk(g):

@@ -75,10 +75,13 @@ class CharEncoder:
     def encode_batch(self, char_table, char_id_rows):
         """Encode many tokens at once.
 
-        char_id_rows: list of per-token character id lists (each non-empty).
+        char_id_rows: non-empty list of per-token character id lists (each
+        non-empty).
         Returns (num_tokens, 2 * hidden): each direction's state after its
         last character.
         """
+        if not char_id_rows:
+            raise ContractError("no tokens to encode")
         if any(len(ids) == 0 for ids in char_id_rows):
             raise ContractError("cannot encode an empty token")
         count = len(char_id_rows)

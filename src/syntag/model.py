@@ -38,6 +38,12 @@ VARIANTS = ("syn-lstm-crf", "bilstm-crf", "gcn-concat-bilstm-crf")
 DROPS = ("gcn-1-layer", "gcn-all", "deprel-embedding", "pos-embedding",
          "original-dependency")
 TREE_SOURCES = ("given", "random", "predicted")
+# Padded char positions (forms times the longest form) per char-encoder call
+# in ``predict``; a longer form is a call of its own. At the paper's char_dim
+# of 30 a call's char embeddings take at most 2 MB. On predict-zipf's 1,718
+# forms one call (2^15) raised peak RSS by 3 MB and this value by 1.6 MB, at
+# the same speed: each large call still runs its directions on two threads.
+_CHAR_BLOCK = 1 << 13
 
 
 @functools.cache
@@ -177,6 +183,28 @@ def typed_value(name, value, annotation):
     return value
 
 
+def _form_rows(sentences):
+    """Each distinct form's row, numbered in order of first appearance."""
+    return {tok: i for i, tok in enumerate(
+        dict.fromkeys(tok for s in sentences for tok in s.tokens))}
+
+
+def _word_ids(vocab, forms):
+    """Each form's word id, then the 0 that a padded position (-1) reads."""
+    return np.array([vocab.word_id(tok) for tok in forms] + [0], dtype=np.intp)
+
+
+@dataclass
+class _Forms:
+    """Distinct forms encoded once: ``row`` maps each form to its row of
+    ``word_ids`` and ``char_vecs``, which end in a 0 and a zero row for
+    padded positions."""
+
+    row: dict
+    word_ids: np.ndarray
+    char_vecs: object
+
+
 @dataclass
 class BatchForward:
     """Everything the loss and decoder need from one forward pass."""
@@ -261,50 +289,89 @@ class SequenceTagger:
 
     # ----- forward ----------------------------------------------------
 
-    def _batch_arrays(self, sentences):
+    def _batch_arrays(self, sentences, forms=None):
+        """Index arrays of a padded batch; ``position_of`` is -1 where padded.
+
+        It indexes the batch's distinct forms, first seen first, whose char
+        ids ``char_rows`` holds; or the rows of a ``_Forms`` table, and
+        ``char_rows`` is None.
+        """
         vocab = self.vocab
         batch = len(sentences)
         lengths = [len(s) for s in sentences]
         n_max = max(lengths)
         total = batch * n_max
-        word_ids = np.zeros(total, dtype=np.intp)
         pos_ids = np.zeros(total, dtype=np.intp)
         deprel_ids = np.zeros(total, dtype=np.intp)
         position_of = np.full(total, -1, dtype=np.intp)
         # One char row per distinct form; repeats gather the same row, and
         # ``rows`` scatter-adds their gradients back into it.
-        char_rows = []
-        form_row = {}
+        form_row = _form_rows(sentences) if forms is None else forms.row
         for b, s in enumerate(sentences):
             for t, tok in enumerate(s.tokens):
                 r = b * n_max + t
-                word_ids[r] = vocab.word_id(tok)
                 pos_ids[r] = vocab.pos_id(s.pos_tags[t])
                 deprel_ids[r] = vocab.deprel_id(s.deprels[t])
-                if tok not in form_row:
-                    form_row[tok] = len(char_rows)
-                    char_rows.append([vocab.char_id(c) for c in tok])
                 position_of[r] = form_row[tok]
+        if forms is None:
+            char_rows = [[vocab.char_id(c) for c in tok] for tok in form_row]
+            word_of = _word_ids(vocab, form_row)
+        else:
+            char_rows, word_of = None, forms.word_ids
+        word_ids = word_of[position_of]  # a padded position reads id 0
         return (batch, lengths, n_max, word_ids, pos_ids, deprel_ids,
                 position_of, char_rows)
 
-    def forward_batch(self, sentences, train=False, rng=None, gates=None):
+    def _encode_forms(self, sentences):
+        """A ``_Forms`` table of every distinct form in ``sentences``.
+
+        The forms are encoded shortest first, in calls whose padded char
+        positions (forms times the longest form) stay within
+        ``_CHAR_BLOCK``. A form's row equals the one a call over its
+        batch's forms gives, up to rounding: BLAS may round a row
+        differently in a matrix of another size.
+        """
+        row = _form_rows(sentences)
+        forms = sorted(row, key=len)
+        vecs = np.zeros((len(forms) + 1, self.char_encoder.output_dim))
+        lo = 0
+        while lo < len(forms):
+            hi = lo + 1
+            while hi < len(forms) and (hi + 1 - lo) * len(forms[hi]) <= _CHAR_BLOCK:
+                hi += 1
+            chunk = forms[lo:hi]
+            vecs[[row[tok] for tok in chunk]] = self.char_encoder.encode_batch(
+                self.tables.char,
+                [[self.vocab.char_id(c) for c in tok] for tok in chunk]).data
+            lo = hi
+        return _Forms(row, _word_ids(self.vocab, row), constant(vecs))
+
+    def forward_batch(self, sentences, train=False, rng=None, gates=None,
+                      forms=None):
         """Run the full encoder over a batch; returns a BatchForward.
 
         A ``gates`` dict collects the recurrent layer's gate activations
-        (see ``recurrent.bidirectional``).
+        (see ``recurrent.bidirectional``). Without ``forms`` the char
+        encoder runs over the batch's distinct forms; a ``_Forms`` table
+        (from ``_encode_forms``) that holds every form of the batch
+        supplies their rows instead.
         """
         if not sentences:
             raise ContractError("empty batch")
         if train and self.config.dropout > 0.0 and rng is None:
             raise ContractError("training forward pass needs a dropout rng")
         (batch, lengths, n_max, word_ids, pos_ids, deprel_ids, position_of,
-         char_rows) = self._batch_arrays(sentences)
+         char_rows) = self._batch_arrays(sentences, forms)
         total = batch * n_max
 
         word_rows = rows(self.tables.word, word_ids)
-        char_vecs = self.char_encoder.encode_batch(self.tables.char, char_rows)
-        char_rows_flat = scatter_token_rows(char_vecs, position_of, total)
+        if forms is None:
+            char_vecs = self.char_encoder.encode_batch(self.tables.char,
+                                                       char_rows)
+            char_rows_flat = scatter_token_rows(char_vecs, position_of, total)
+        else:  # the table's last row is the zero row of padded positions
+            char_rows_flat = rows(forms.char_vecs, np.where(
+                position_of < 0, len(forms.row), position_of))
         parts = [word_rows, char_rows_flat]
         if self.use_deprel:
             parts.append(rows(self.tables.deprel, deprel_ids))
@@ -366,12 +433,17 @@ class SequenceTagger:
         Sentences are run in batches of similar length to cut padding: a
         stable sort by length, ``batch_size`` consecutive sentences per
         forward pass, results written back in input order. A sentence's
-        labels do not depend on which sentences share its batch. A ``gates``
-        dict collects every batch's gate activations in the same pass, in
-        batch order rather than input order (see ``recurrent.bidirectional``).
+        labels do not depend on which sentences share its batch. The char
+        encoder runs once per call over its distinct forms, shortest first
+        in calls of bounded size (see ``_encode_forms``), and each batch
+        gathers its forms' rows from that table; each form's word id is
+        looked up once per call too. A ``gates`` dict collects every
+        batch's gate activations in the same pass, in batch order rather
+        than input order (see ``recurrent.bidirectional``).
         """
         if batch_size < 1:
             raise ContractError(f"batch_size must be >= 1, got {batch_size}")
+        forms = self._encode_forms(sentences)
         order = sorted(range(len(sentences)), key=lambda i: len(sentences[i]))
         trans = self.crf.effective_transitions()
         names = self.vocab.label_names
@@ -379,7 +451,7 @@ class SequenceTagger:
         for lo in range(0, len(order), batch_size):
             chunk = order[lo: lo + batch_size]
             fw = self.forward_batch([sentences[i] for i in chunk],
-                                    gates=gates)
+                                    gates=gates, forms=forms)
             em = fw.emissions.data.reshape(len(chunk), fw.n_max, -1)
             paths, _ = crf_mod.viterbi_batch(em, fw.lengths, trans)
             for i, ids in zip(chunk, paths):

@@ -142,10 +142,12 @@ def prepare_corpus(corpus, config):
     generator seeded with config.seed draws each sentence's heads, then its
     relations, uniformly from the relation labels the corpus holds, so their
     marginal distribution carries no syntax either. 'predicted' copies heads
-    and relations from config.tree_file, which must align sentence by
-    sentence. Every corpus the model touches, evaluation data included,
-    passes through here. Each sentence is copied once; a 'given' bioes
-    corpus comes back as a new list of the same sentences.
+    and relations from the config.tree_file sentence with the same tokens,
+    so one file in any order can serve train, dev and test; a sentence with
+    no such entry raises DataIntegrityError. Every corpus the model
+    touches, evaluation data included, passes through here. Each sentence
+    is copied once; a 'given' bioes corpus comes back as a new list of the
+    same sentences.
     """
     source = config.tree_source
     if config.drop == "original-dependency":
@@ -159,10 +161,7 @@ def prepare_corpus(corpus, config):
         if not relations:
             raise ContractError("corpus has no relation labels to sample from")
     elif source == "predicted":
-        trees = parse_corpus(config.tree_file, label_scheme=config.label_scheme)
-        if len(trees) != len(corpus):
-            raise DataIntegrityError(
-                f"corpora differ in sentence count: {len(corpus)} vs {len(trees)}")
+        trees = _trees_by_tokens(config.tree_file, config.label_scheme)
     out = []
     for i, s in enumerate(corpus):
         c = s.copy()
@@ -171,14 +170,30 @@ def prepare_corpus(corpus, config):
             c.deprels = [relations[int(rng.integers(0, len(relations)))]
                          for _ in range(len(s))]
         elif source == "predicted":
-            if len(trees[i]) != len(s):
+            tree = trees.get(tuple(s.tokens))
+            if tree is None:
+                start = " ".join(s.tokens[:5]) + (" ..." if len(s) > 5 else "")
                 raise DataIntegrityError(
-                    f"sentence {i} differs in length: {len(s)} vs {len(trees[i])}")
-            c.heads, c.deprels = list(trees[i].heads), list(trees[i].deprels)
+                    f"sentence {i} ({start}) has no tree in {config.tree_file}")
+            c.heads, c.deprels = list(tree.heads), list(tree.deprels)
         if convert:
             c.labels = convert_label_scheme(s.labels, config.label_scheme, "bioes")
         out.append(c)
     return out
+
+
+def _trees_by_tokens(path, label_scheme):
+    """Each sentence of a tree file, keyed by its token tuple.
+
+    A token tuple may repeat only with the same heads and relations.
+    """
+    trees = {}
+    for j, t in enumerate(parse_corpus(path, label_scheme=label_scheme)):
+        i, seen = trees.setdefault(tuple(t.tokens), (j, t))
+        if (seen.heads, seen.deprels) != (t.heads, t.deprels):
+            raise DataIntegrityError(f"{path}: sentences {i} and {j} have the "
+                                     "same tokens but different trees")
+    return {key: t for key, (_, t) in trees.items()}
 
 
 # ----- checkpoints --------------------------------------------------------

@@ -10,10 +10,10 @@ import pytest
 
 import reference
 from syntag.cli import _split_corpus, main
-from syntag.data import parse_corpus, validate_labels
+from syntag.data import parse_corpus, serialize_corpus, validate_labels
 from syntag.model import ModelConfig, SequenceTagger
 from syntag.errors import FormatError
-from syntag.training import load_checkpoint, save_checkpoint
+from syntag.training import load_checkpoint, random_tree_heads, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +224,26 @@ class TestExperimentCommands:
         assert all("mean graph gate 0." in line for line in lines[:2])
         # One pass per source yields both the F1 and the mean m-gate.
         assert sorted(decoded) == sorted(2 * [tuple(s.tokens) for s in test_c])
+
+    def test_compare_trees_with_a_predicted_tree_file(self, workdir, tmp_path,
+                                                      capsys):
+        # One tree file, in reverse order, covers all three splits.
+        rng = np.random.default_rng(4)
+        trees = {}
+        for s in parse_corpus(workdir / "train.tsv"):
+            if tuple(s.tokens) not in trees:
+                s.heads = random_tree_heads(len(s), rng)
+                trees[tuple(s.tokens)] = s
+        path = tmp_path / "trees.tsv"
+        path.write_text(serialize_corpus(list(trees.values())[::-1]))
+        code = main(["compare-trees", "--config", str(workdir / "model.conf"),
+                     "--data", str(workdir / "train.tsv"),
+                     "--sources", f"given,random,predicted={path}"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert [line.split()[0] for line in lines[:3]] == [
+            "given", "random", f"predicted={path}"]
+        assert all(" f1 " in line for line in lines[:3])
 
     def test_ablate(self, workdir, capsys):
         code = main(["ablate", "--config", str(workdir / "model.conf"),

@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 
 import reference
 import syntag
+from syntag import crf as crf_mod
 from syntag import model as model_mod
 from syntag import recurrent
 from syntag.autodiff import Tape, backward
 from syntag.data import build_vocab
+from syntag.embeddings import CharEncoder
 from syntag.errors import ContractError, FormatError
 from syntag.evaluation import gate_histogram, gate_mean
 from syntag.gradcheck import check_model_variant, random_instances
@@ -368,6 +370,80 @@ class TestDecoding:
             gate_mean(plain_gates, "m")
 
 
+def _many_forms_model(variant):
+    """A model over a corpus of many word forms, one of them longer than 16
+    chars; the vocabulary comes from the first half, so some are unknown."""
+    rng = np.random.default_rng(5)
+    forms = ["".join(rng.choice(list("abcdefgh"), size=n))
+             for n in rng.integers(1, 10, size=60)] + ["x" * 20]
+    corpus = generate_corpus(40, seed=3)
+    for s in corpus:
+        s.tokens = [forms[rng.integers(len(forms))] for _ in s.tokens]
+    model = SequenceTagger(tiny_config(variant=variant),
+                           build_vocab(corpus[:20]),
+                           rng=np.random.default_rng(2))
+    return model, corpus
+
+
+class TestPredictEncodesEachFormOnce:
+    @pytest.mark.parametrize("block", [model_mod._CHAR_BLOCK, 16])
+    @pytest.mark.parametrize("batch_size", [1, 3, 32])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_the_per_batch_path(self, monkeypatch, variant,
+                                        batch_size, block):
+        model, corpus = _many_forms_model(variant)
+        monkeypatch.setattr(model_mod, "_CHAR_BLOCK", block)
+        encoded, decoded = [], []
+        encode, viterbi = CharEncoder.encode_batch, crf_mod.viterbi_batch
+
+        def spy_encode(self, table, char_id_rows):
+            encoded.append([tuple(ids) for ids in char_id_rows])
+            return encode(self, table, char_id_rows)
+
+        def spy_viterbi(em, lengths, trans):
+            decoded.append(em.copy())
+            return viterbi(em, lengths, trans)
+
+        monkeypatch.setattr(CharEncoder, "encode_batch", spy_encode)
+        monkeypatch.setattr(crf_mod, "viterbi_batch", spy_viterbi)
+        labels = model.predict(corpus, batch_size=batch_size)
+        monkeypatch.undo()
+
+        forms = {tok for s in corpus for tok in s.tokens}
+        vocab = model.vocab
+        assert sorted(ids for call in encoded for ids in call) == sorted(
+            tuple(vocab.char_id(c) for c in tok) for tok in forms)
+        for call in encoded:
+            assert len(call) == 1 or len(call) * max(map(len, call)) <= block
+        assert (len(encoded) > 1) == (block == 16)
+
+        order = sorted(range(len(corpus)), key=lambda i: len(corpus[i]))
+        trans = model.crf.effective_transitions()
+        want = [None] * len(corpus)
+        for k, lo in enumerate(range(0, len(order), batch_size)):
+            chunk = order[lo: lo + batch_size]
+            fw = model.forward_batch([corpus[i] for i in chunk])
+            em = fw.emissions.data.reshape(len(chunk), fw.n_max, -1)
+            # Not bitwise: the char GEMMs run over other row counts, and
+            # BLAS may round a row differently in a matrix of another size.
+            np.testing.assert_allclose(decoded[k], em, rtol=0, atol=1e-12)
+            paths, _ = crf_mod.viterbi_batch(em, fw.lengths, trans)
+            for i, ids in zip(chunk, paths):
+                want[i] = [vocab.label_names[j] for j in ids]
+        assert labels == want
+
+    def test_empty_call_encodes_nothing(self, monkeypatch):
+        model, _ = make_model()
+        monkeypatch.setattr(CharEncoder, "encode_batch", mock.Mock(
+            side_effect=AssertionError("char encoder called")))
+        assert model.predict([]) == []
+
+    def test_char_encoder_rejects_no_tokens(self):
+        model, _ = make_model()
+        with pytest.raises(ContractError, match="no tokens"):
+            model.char_encoder.encode_batch(model.tables.char, [])
+
+
 class TestConcurrentCallers:
     def test_threads_predicting_on_one_model_get_the_sequential_labels(self):
         model, corpus = make_model(count=12, length=7)
@@ -428,6 +504,7 @@ import resource
 import numpy as np
 from syntag import autodiff as ad
 from syntag.data import build_vocab
+from syntag.embeddings import CharEncoder
 from syntag.model import ModelConfig, SequenceTagger
 from syntag.synthetic import generate_corpus
 

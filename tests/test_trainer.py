@@ -248,15 +248,57 @@ class TestTreeSource:
             prepare_corpus(corpus, cfg)
 
     def test_predicted_sentence_length_mismatch_names_the_sentence(self, tmp_path):
-        corpus = random_instances(4, 5, num_labels=2, seed=2)
-        trees = random_instances(4, 5, num_labels=2, seed=8)
-        trees[2] = random_instances(1, 6, num_labels=2, seed=9)[0]
+        corpus = random_instances(4, 6, num_labels=2, seed=2)
+        trees = prepare_corpus(corpus, small_config(tree_source="random", seed=7))
+        trees[2] = random_instances(1, 7, num_labels=2, seed=9)[0]
+        trees[2].tokens[:6] = corpus[2].tokens
         tree_path = tmp_path / "trees.tsv"
         tree_path.write_text(serialize_corpus(trees))
         cfg = small_config(tree_source="predicted", tree_file=str(tree_path))
-        with pytest.raises(DataIntegrityError,
-                           match="sentence 2 differs in length: 5 vs 6"):
+        start = " ".join(corpus[2].tokens[:5])
+        with pytest.raises(DataIntegrityError, match=(
+                f"sentence 2 \\({start} ...\\) has no tree in {tree_path}")):
             prepare_corpus(corpus, cfg)
+
+    def test_predicted_tree_file_may_cover_more_in_any_order(self, tmp_path):
+        corpus = random_instances(6, 5, num_labels=2, seed=2)
+        trees = prepare_corpus(corpus, small_config(tree_source="random", seed=7))
+        tree_path = tmp_path / "trees.tsv"
+        tree_path.write_text(serialize_corpus(trees[::-1]))
+        cfg = small_config(tree_source="predicted", tree_file=str(tree_path))
+        for part, want in ((corpus[:4], trees[:4]), (corpus[4:], trees[4:])):
+            out = prepare_corpus(part, cfg)
+            assert [(s.heads, s.deprels) for s in out] == [
+                (s.heads, s.deprels) for s in want]
+
+    def test_predicted_conflicting_trees_name_both_sentences(self, tmp_path):
+        corpus = random_instances(4, 5, num_labels=2, seed=2)
+        trees = prepare_corpus(corpus, small_config(tree_source="random", seed=7))
+        twin = trees[1].copy()
+        twin.deprels = ["other"] * len(twin)
+        tree_path = tmp_path / "trees.tsv"
+        tree_path.write_text(serialize_corpus(trees + [trees[0], twin]))
+        cfg = small_config(tree_source="predicted", tree_file=str(tree_path))
+        with pytest.raises(DataIntegrityError,
+                           match="sentences 1 and 5 have the same tokens but "
+                                 "different trees"):
+            prepare_corpus(corpus, cfg)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**16), length=st.integers(1, 6))
+    def test_predicted_ignores_tree_file_order(self, tmp_path_factory, seed,
+                                               length):
+        corpus = random_instances(5, length, num_labels=2, seed=seed)
+        trees = _one_tree_per_token_tuple(corpus, seed)
+        shuffled = list(trees)
+        np.random.default_rng(seed).shuffle(shuffled)
+        outs = []
+        for name, order in (("trees.tsv", trees), ("shuffled.tsv", shuffled)):
+            path = tmp_path_factory.mktemp("trees") / name
+            path.write_text(serialize_corpus(order))
+            cfg = small_config(tree_source="predicted", tree_file=str(path))
+            outs.append(serialize_corpus(prepare_corpus(corpus, cfg)))
+        assert outs[0] == outs[1]
 
     @settings(max_examples=40, deadline=None)
     @given(source=st.sampled_from(["given", "random", "original-dependency",
@@ -276,10 +318,8 @@ class TestTreeSource:
             overrides["tree_source"] = source
         if source == "predicted":
             path = tmp_path_factory.mktemp("trees") / "trees.tsv"
-            trees = random_instances(count, length, num_labels=2, seed=seed + 1)
-            for t in trees:
-                t.labels = convert_label_scheme(t.labels, "bioes", scheme)
-            path.write_text(serialize_corpus(trees))
+            path.write_text(serialize_corpus(
+                _one_tree_per_token_tuple(corpus, seed + 1)))
             overrides["tree_file"] = str(path)
         before = serialize_corpus(corpus)
         out = prepare_corpus(corpus, small_config(**overrides))
@@ -299,6 +339,20 @@ class TestTreeSource:
         cfg = small_config(label_scheme="bio")
         out = prepare_corpus(corpus, cfg)
         assert out[0].labels == ["B-T0", "E-T0", "O", "S-T1"]
+
+
+def _one_tree_per_token_tuple(corpus, seed):
+    """The corpus with random trees, equal sentences getting equal ones."""
+    rng = np.random.default_rng(seed)
+    trees = {}
+    for s in corpus:
+        if tuple(s.tokens) not in trees:
+            t = s.copy()
+            t.heads = random_tree_heads(len(s), rng)
+            t.deprels = [("nsubj", "obj", "nmod")[k]
+                         for k in rng.integers(0, 3, size=len(s))]
+            trees[tuple(s.tokens)] = t
+    return [trees[tuple(s.tokens)] for s in corpus]
 
 
 def parse_corpus_roundtrip(corpus, tmp_path):
