@@ -95,16 +95,31 @@ class CharEncoder:
                              final=True)
 
 
+def with_zero_row(token_vectors):
+    """``token_vectors`` with a zero row appended, the row that padded
+    positions read in ``gather_padded``."""
+    dim = token_vectors.data.shape[1]
+    return concat([token_vectors, constant(np.zeros((1, dim)))], axis=0)
+
+
+def gather_padded(padded, position_of, total_rows):
+    """Rows of ``padded`` (see ``with_zero_row``) in a padded flat layout.
+
+    position_of maps flat row index -> row of ``padded``, with -1 meaning a
+    padded position that reads the last, zero row. Gradients flow only into
+    the rows of real tokens.
+    """
+    zero_row = padded.data.shape[0] - 1
+    idx = np.where(np.asarray(position_of) < 0, zero_row, position_of)
+    if len(idx) != total_rows:
+        raise ContractError(f"expected {total_rows} positions, got {len(idx)}")
+    return rows(padded, idx)
+
+
 def scatter_token_rows(token_vectors, position_of, total_rows):
     """Spread per-token vectors into a padded flat layout.
 
     position_of maps flat row index -> token row, with -1 meaning a padded
     position that gets a zero row. Gradients flow only into real tokens.
     """
-    dim = token_vectors.data.shape[1]
-    padded = concat([token_vectors, constant(np.zeros((1, dim)))], axis=0)
-    zero_row = token_vectors.data.shape[0]
-    idx = np.where(np.asarray(position_of) < 0, zero_row, position_of)
-    if len(idx) != total_rows:
-        raise ContractError(f"expected {total_rows} positions, got {len(idx)}")
-    return rows(padded, idx)
+    return gather_padded(with_zero_row(token_vectors), position_of, total_rows)

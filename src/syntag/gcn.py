@@ -14,8 +14,6 @@ relu(g_prev @ w + b) exactly; the default is the aggregation above.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .autodiff import bmm_const, matmul, relu
@@ -31,17 +29,11 @@ def batch_normalized_adjacency(heads_list, n_max):
     positions keep a bare self-loop, so their degree is 1; their output
     rows are never consumed downstream.
     """
-    lengths = [len(heads) for heads in heads_list]
-    heads = np.fromiter(chain.from_iterable(heads_list), np.intp, sum(lengths))
-    # Each token's sentence and position; every dependent-head pair of the
-    # batch is then set by one scatter per direction.
-    sent = np.repeat(np.arange(len(lengths)), lengths)
-    pos = np.arange(len(heads)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    dep = heads > 0
-    sent, pos, head = sent[dep], pos[dep], heads[dep] - 1
-    a = np.zeros((len(lengths), n_max, n_max))
-    a.reshape(len(lengths), -1)[:, ::n_max + 1] = 1.0
-    a[sent, pos, head] = a[sent, head, pos] = 1.0
+    a = np.tile(np.eye(n_max), (len(heads_list), 1, 1))
+    for b, heads in enumerate(heads_list):
+        dep = np.flatnonzero(heads)
+        head = np.asarray(heads)[dep] - 1
+        a[b, dep, head] = a[b, head, dep] = 1.0
     a /= a.sum(axis=2, keepdims=True)
     return a
 

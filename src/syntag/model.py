@@ -29,7 +29,8 @@ import numpy as np
 from . import crf as crf_mod
 from .autodiff import concat, constant, rows
 from .data import SCHEMES, Vocabulary
-from .embeddings import CharEncoder, EmbeddingTables, scatter_token_rows
+from .embeddings import (CharEncoder, EmbeddingTables, gather_padded,
+                         with_zero_row)
 from .errors import ContractError, FormatError
 from .gcn import GcnParams, batch_normalized_adjacency, encode_batch
 from .recurrent import LstmParams, bidirectional
@@ -197,8 +198,8 @@ def _word_ids(vocab, forms):
 @dataclass
 class _Forms:
     """Distinct forms encoded once: ``row`` maps each form to its row of
-    ``word_ids`` and ``char_vecs``, which end in a 0 and a zero row for
-    padded positions."""
+    ``word_ids`` and ``char_vecs``, which end in a 0 and a zero row (see
+    ``embeddings.gather_padded``) for padded positions."""
 
     row: dict
     word_ids: np.ndarray
@@ -333,7 +334,7 @@ class SequenceTagger:
         """
         row = _form_rows(sentences)
         forms = sorted(row, key=len)
-        vecs = np.zeros((len(forms) + 1, self.char_encoder.output_dim))
+        vecs = np.empty((len(forms), self.char_encoder.output_dim))
         lo = 0
         while lo < len(forms):
             hi = lo + 1
@@ -344,7 +345,8 @@ class SequenceTagger:
                 self.tables.char,
                 [[self.vocab.char_id(c) for c in tok] for tok in chunk]).data
             lo = hi
-        return _Forms(row, _word_ids(self.vocab, row), constant(vecs))
+        return _Forms(row, _word_ids(self.vocab, row),
+                      with_zero_row(constant(vecs)))
 
     def forward_batch(self, sentences, train=False, rng=None, gates=None,
                       forms=None):
@@ -366,12 +368,11 @@ class SequenceTagger:
 
         word_rows = rows(self.tables.word, word_ids)
         if forms is None:
-            char_vecs = self.char_encoder.encode_batch(self.tables.char,
-                                                       char_rows)
-            char_rows_flat = scatter_token_rows(char_vecs, position_of, total)
-        else:  # the table's last row is the zero row of padded positions
-            char_rows_flat = rows(forms.char_vecs, np.where(
-                position_of < 0, len(forms.row), position_of))
+            char_vecs = with_zero_row(self.char_encoder.encode_batch(
+                self.tables.char, char_rows))
+        else:
+            char_vecs = forms.char_vecs
+        char_rows_flat = gather_padded(char_vecs, position_of, total)
         parts = [word_rows, char_rows_flat]
         if self.use_deprel:
             parts.append(rows(self.tables.deprel, deprel_ids))

@@ -504,7 +504,6 @@ import resource
 import numpy as np
 from syntag import autodiff as ad
 from syntag.data import build_vocab
-from syntag.embeddings import CharEncoder
 from syntag.model import ModelConfig, SequenceTagger
 from syntag.synthetic import generate_corpus
 

@@ -342,12 +342,16 @@ class TestTreeSource:
 
 
 def _one_tree_per_token_tuple(corpus, seed):
-    """The corpus with random trees, equal sentences getting equal ones."""
+    """The corpus's tokens with random trees, equal sentences getting equal
+    ones. The POS tags and labels differ from the corpus's, so a graft that
+    took them from the tree file shows."""
     rng = np.random.default_rng(seed)
     trees = {}
     for s in corpus:
         if tuple(s.tokens) not in trees:
             t = s.copy()
+            t.pos_tags = [f"TREE-{tag}" for tag in s.pos_tags]
+            t.labels = ["O"] * len(s)
             t.heads = random_tree_heads(len(s), rng)
             t.deprels = [("nsubj", "obj", "nmod")[k]
                          for k in rng.integers(0, 3, size=len(s))]
