@@ -13,8 +13,7 @@ import sys
 from .data import (decode_label_spans, encode_label_spans, parse_corpus,
                    write_corpus)
 from .errors import ContractError, NumericalError, SyntagError
-from .evaluation import (compare_tree_sources, entity_f1, gate_histogram,
-                         gate_mean, histogram_csv, train_and_score)
+from .evaluation import entity_f1, gate_histogram, gate_mean, histogram_csv
 from .gradcheck import check_model_variant
 from .model import DROPS, VARIANTS, ModelConfig
 from .recurrent import GATE_NAMES
@@ -199,15 +198,60 @@ def _cmd_analyze_gates(args):
     return 0
 
 
+def _train_and_score(cfg, train_corpus, dev_corpus, test_corpus):
+    """Train on ``cfg``, then decode and score the prepared test split.
+
+    Returns (TrainResult, the test EvalReport, the gate activations of the
+    same decoding pass).
+    """
+    result = train(cfg, train_corpus, dev_corpus)
+    model = build_model(result.checkpoint)
+    test_t = prepare_corpus(test_corpus, cfg)
+    gates = {}
+    report = entity_f1([s.labels for s in test_t],
+                       model.predict(test_t, gates=gates))
+    return result, report, gates
+
+
 def _cmd_compare_trees(args):
+    """Train once per tree source and score each on the test split.
+
+    A source is "given", "random", or "predicted=PATH" where PATH is a
+    corpus file whose heads and relations override the gold trees. Only
+    "predicted" takes "=PATH", no source may be listed twice, and every
+    source is checked before the first one trains. Evaluation data passes
+    through the same tree transformation as training data, so a model
+    trained on random trees is also decoded with random trees. Nothing is
+    printed until every source has been scored.
+    """
     config = ModelConfig.from_file(args.config)
     corpus = parse_corpus(args.data, config.label_scheme)
     train_c, dev_c, test_c = _split_corpus(corpus)
     sources = [s.strip() for s in args.sources.split(",") if s.strip()]
     if not sources:
         raise SyntagError("no tree sources given")
-    report = compare_tree_sources(config, train_c, dev_c, test_c, sources)
-    print(report.to_text(), end="")
+    configs = {}
+    for source in sources:
+        name, eq, path = source.partition("=")
+        if source in configs:
+            raise ContractError(f"tree source {source!r} is listed twice")
+        if eq and name != "predicted":
+            raise ContractError(f"tree source {source!r}: only predicted takes =PATH")
+        configs[source] = dataclasses.replace(
+            config, tree_source=name, tree_file=path or config.tree_file).validate()
+    f1 = {}
+    lines = []
+    for source, cfg in configs.items():
+        result, report, gates = _train_and_score(cfg, train_c, dev_c, test_c)
+        f1[source] = report.f1
+        gate = (f"{gate_mean(gates, 'm'):.4f}"
+                if cfg.variant == "syn-lstm-crf" else "n/a")
+        lines.append(f"{source:12s} f1 {report.f1:.4f}  mean graph gate {gate}"
+                     f"  best epoch {result.checkpoint.best_epoch}")
+    for i, a in enumerate(sources):
+        for b in sources[i + 1:]:
+            lines.append(f"delta {a} vs {b}: {f1[a] - f1[b]:+.4f}")
+    print("\n".join(lines))
     return 0
 
 
@@ -215,7 +259,7 @@ def _cmd_ablate(args):
     config = ModelConfig.from_file(args.config)
     corpus = parse_corpus(args.data, config.label_scheme)
     train_c, dev_c, test_c = _split_corpus(corpus)
-    result, report, _ = train_and_score(
+    result, report, _ = _train_and_score(
         dataclasses.replace(config, drop=args.drop), train_c, dev_c, test_c)
     print(f"ablation {args.drop}: test f1 {report.f1:.4f} "
           f"(best epoch {result.checkpoint.best_epoch})")

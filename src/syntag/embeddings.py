@@ -105,21 +105,21 @@ def with_zero_row(token_vectors):
 def gather_padded(padded, position_of, total_rows):
     """Rows of ``padded`` (see ``with_zero_row``) in a padded flat layout.
 
-    position_of maps flat row index -> row of ``padded``, with -1 meaning a
-    padded position that reads the last, zero row. Gradients flow only into
-    the rows of real tokens.
+    position_of maps flat row index -> row of ``padded``; a padded position
+    reads the last, zero row. Gradients flow only into the rows of real
+    tokens.
     """
-    zero_row = padded.data.shape[0] - 1
-    idx = np.where(np.asarray(position_of) < 0, zero_row, position_of)
-    if len(idx) != total_rows:
-        raise ContractError(f"expected {total_rows} positions, got {len(idx)}")
-    return rows(padded, idx)
+    if len(position_of) != total_rows:
+        raise ContractError(
+            f"expected {total_rows} positions, got {len(position_of)}")
+    return rows(padded, position_of)
 
 
 def scatter_token_rows(token_vectors, position_of, total_rows):
     """Spread per-token vectors into a padded flat layout.
 
-    position_of maps flat row index -> token row, with -1 meaning a padded
-    position that gets a zero row. Gradients flow only into real tokens.
+    position_of maps flat row index -> token row; a padded position holds
+    ``len(token_vectors)`` and gets a zero row. Gradients flow only into
+    real tokens.
     """
     return gather_padded(with_zero_row(token_vectors), position_of, total_rows)

@@ -1,4 +1,4 @@
-"""Span-level scoring, gate statistics, and the experiment driver.
+"""Span-level scoring and gate statistics.
 
 Scoring is exact-match on (start, end, type) spans. Gold label sequences
 must be valid; predicted sequences are decoded leniently, dropping
@@ -8,7 +8,6 @@ that span instead of crashing the evaluation.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,18 +43,6 @@ def _prf(tp, fp, fn):
     else:
         f1 = 0.0
     return precision, recall, f1
-
-
-class _Counter:
-    __slots__ = ("tp", "fp", "fn")
-
-    def __init__(self):
-        self.tp = 0
-        self.fp = 0
-        self.fn = 0
-
-    def prf(self):
-        return _prf(self.tp, self.fp, self.fn)
 
 
 @dataclass
@@ -128,10 +115,11 @@ def entity_f1(gold_corpus, pred_corpus):
             f"gold has {len(gold_corpus)} sentences, "
             f"predictions have {len(pred_corpus)}"
         )
-    overall = _Counter()
+    # Each counter is a [tp, fp, fn] list.
+    overall = [0, 0, 0]
     per_type = {}
-    by_sentence = {name: _Counter() for name, _, _ in SENTENCE_BUCKETS}
-    by_entity = {name: _Counter() for name in ENTITY_BUCKETS}
+    by_sentence = {name: [0, 0, 0] for name, _, _ in SENTENCE_BUCKETS}
+    by_entity = {name: [0, 0, 0] for name in ENTITY_BUCKETS}
     for i, (gold_labels, pred_labels) in enumerate(
             zip(gold_corpus, pred_corpus)):
         if len(gold_labels) != len(pred_labels):
@@ -144,30 +132,22 @@ def entity_f1(gold_corpus, pred_corpus):
         s_bucket = by_sentence[sentence_bucket(len(gold_labels))]
         for span in gold | pred:
             start, end, etype = span
-            counter = per_type.setdefault(etype, _Counter())
-            e_bucket = by_entity[entity_bucket(end - start + 1)]
-            if span in gold and span in pred:
-                for c in (overall, counter, s_bucket, e_bucket):
-                    c.tp += 1
-            elif span in pred:
-                for c in (overall, counter, s_bucket, e_bucket):
-                    c.fp += 1
-            else:
-                for c in (overall, counter, s_bucket, e_bucket):
-                    c.fn += 1
-    precision, recall, f1 = overall.prf()
+            k = (0 if span in gold else 1) if span in pred else 2
+            for counts in (overall, per_type.setdefault(etype, [0, 0, 0]),
+                           s_bucket, by_entity[entity_bucket(end - start + 1)]):
+                counts[k] += 1
 
-    def row(counter, gold_count):
-        p, r, f = counter.prf()
+    def row(counts):
+        p, r, f = _prf(*counts)
+        tp, fp, fn = counts
         return {"precision": p, "recall": r, "f1": f,
-                "gold": gold_count, "predicted": counter.tp + counter.fp}
+                "gold": tp + fn, "predicted": tp + fp}
 
     return EvalReport(
-        precision, recall, f1, overall.tp, overall.fp, overall.fn,
-        per_type={k: row(c, c.tp + c.fn) for k, c in per_type.items()},
-        sentence_length={k: row(c, c.tp + c.fn)
-                         for k, c in by_sentence.items()},
-        entity_length={k: row(c, c.tp + c.fn) for k, c in by_entity.items()},
+        *_prf(*overall), *overall,
+        per_type={k: row(c) for k, c in per_type.items()},
+        sentence_length={k: row(c) for k, c in by_sentence.items()},
+        entity_length={k: row(c) for k, c in by_entity.items()},
     )
 
 
@@ -216,83 +196,3 @@ def histogram_csv(counts):
         hi = GATE_BUCKET_EDGES[i + 1]
         rows.append(f"{lo},{hi},{int(c)}")
     return "\n".join(rows) + "\n"
-
-
-# ----- experiments ----------------------------------------------------------
-
-def train_and_score(cfg, train_corpus, dev_corpus, test_corpus):
-    """Train on ``cfg``, then decode and score the prepared test split.
-
-    Returns (TrainResult, the test EvalReport, the gate activations of the
-    same decoding pass).
-    """
-    from .training import build_model, prepare_corpus, train
-
-    result = train(cfg, train_corpus, dev_corpus)
-    model = build_model(result.checkpoint)
-    test_t = prepare_corpus(test_corpus, cfg)
-    gates = {}
-    report = entity_f1([s.labels for s in test_t],
-                       model.predict(test_t, gates=gates))
-    return result, report, gates
-
-
-@dataclass
-class TreeComparisonReport:
-    sources: list
-    f1: dict
-    mean_gate: dict
-    deltas: dict
-    best_epochs: dict
-
-    def to_text(self):
-        lines = []
-        for s in self.sources:
-            gate = self.mean_gate[s]
-            gate_text = f"{gate:.4f}" if gate is not None else "n/a"
-            lines.append(
-                f"{s:12s} f1 {self.f1[s]:.4f}  mean graph gate {gate_text}"
-                f"  best epoch {self.best_epochs[s]}"
-            )
-        for pair, d in self.deltas.items():
-            lines.append(f"delta {pair}: {d:+.4f}")
-        return "\n".join(lines) + "\n"
-
-
-def compare_tree_sources(config, train_corpus, dev_corpus, test_corpus,
-                         sources=("given", "random")):
-    """Train once per tree source and score each on the test split.
-
-    A source is "given", "random", or "predicted=PATH" where PATH is a
-    corpus file whose heads and relations override the gold trees. Only
-    "predicted" takes "=PATH", no source may be listed twice, and every
-    source is checked before the first one trains. Evaluation data passes
-    through the same tree transformation as training data, so a model
-    trained on random trees is also decoded with random trees.
-    """
-    configs = {}
-    for source in sources:
-        name, eq, path = source.partition("=")
-        if source in configs:
-            raise ContractError(f"tree source {source!r} is listed twice")
-        if eq and name != "predicted":
-            raise ContractError(f"tree source {source!r}: only predicted takes =PATH")
-        configs[source] = dataclasses.replace(
-            config, tree_source=name, tree_file=path or config.tree_file).validate()
-    f1 = {}
-    mean_gate = {}
-    best_epochs = {}
-    for source, cfg in configs.items():
-        result, report, gates = train_and_score(
-            cfg, train_corpus, dev_corpus, test_corpus)
-        f1[source] = report.f1
-        mean_gate[source] = (gate_mean(gates, "m")
-                             if cfg.variant == "syn-lstm-crf" else None)
-        best_epochs[source] = result.checkpoint.best_epoch
-    deltas = {}
-    names = list(sources)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            deltas[f"{a} vs {b}"] = f1[a] - f1[b]
-    return TreeComparisonReport(names, f1, mean_gate, deltas, best_epochs)
-

@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tape, backward, clear_grads
+from .data import Sentence, build_vocab
+from .model import ModelConfig, SequenceTagger
+from .training import random_tree_heads
 
 __all__ = [
     "relative_errors",
@@ -99,9 +102,6 @@ def random_instances(count, length, num_labels, seed):
     BIOES inventory with ``num_labels`` types reduced to whatever fits in
     ``length`` tokens (single-token spans only, which is always valid).
     """
-    from .data import Sentence
-    from .training import random_tree_heads
-
     rng = np.random.default_rng(seed)
     words = [f"w{w}" for w in range(12)]
     pos_tags = ["NN", "VB", "JJ"]
@@ -130,9 +130,6 @@ def check_model_variant(variant, seed=0, count=5, length=3, hidden=8, step=1e-5)
     small embedding tables), and runs check_gradients on the mean
     negative log likelihood over the batch with dropout disabled.
     """
-    from .data import build_vocab
-    from .model import ModelConfig, SequenceTagger
-
     sentences = random_instances(count, length, num_labels=2, seed=seed)
     vocab = build_vocab(sentences, min_count=1)
     config = ModelConfig(

@@ -191,7 +191,7 @@ def _form_rows(sentences):
 
 
 def _word_ids(vocab, forms):
-    """Each form's word id, then the 0 that a padded position (-1) reads."""
+    """Each form's word id, then the 0 that a padded position reads."""
     return np.array([vocab.word_id(tok) for tok in forms] + [0], dtype=np.intp)
 
 
@@ -291,11 +291,13 @@ class SequenceTagger:
     # ----- forward ----------------------------------------------------
 
     def _batch_arrays(self, sentences, forms=None):
-        """Index arrays of a padded batch; ``position_of`` is -1 where padded.
+        """Index arrays of a padded batch.
 
-        It indexes the batch's distinct forms, first seen first, whose char
-        ids ``char_rows`` holds; or the rows of a ``_Forms`` table, and
-        ``char_rows`` is None.
+        ``position_of`` indexes the batch's distinct forms, first seen
+        first, whose char ids ``char_rows`` holds; or the rows of a
+        ``_Forms`` table, and ``char_rows`` is None. A padded position holds
+        the number of forms: the index of the zero row and the 0 word id
+        that follow the forms' rows.
         """
         vocab = self.vocab
         batch = len(sentences)
@@ -304,10 +306,10 @@ class SequenceTagger:
         total = batch * n_max
         pos_ids = np.zeros(total, dtype=np.intp)
         deprel_ids = np.zeros(total, dtype=np.intp)
-        position_of = np.full(total, -1, dtype=np.intp)
         # One char row per distinct form; repeats gather the same row, and
         # ``rows`` scatter-adds their gradients back into it.
         form_row = _form_rows(sentences) if forms is None else forms.row
+        position_of = np.full(total, len(form_row), dtype=np.intp)
         for b, s in enumerate(sentences):
             for t, tok in enumerate(s.tokens):
                 r = b * n_max + t
@@ -319,7 +321,7 @@ class SequenceTagger:
             word_of = _word_ids(vocab, form_row)
         else:
             char_rows, word_of = None, forms.word_ids
-        word_ids = word_of[position_of]  # a padded position reads id 0
+        word_ids = word_of[position_of]
         return (batch, lengths, n_max, word_ids, pos_ids, deprel_ids,
                 position_of, char_rows)
 

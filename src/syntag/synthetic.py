@@ -35,19 +35,6 @@ MIN_LENGTH = 8
 MAX_LENGTH = 20
 
 
-def _distances_from(adjacent, start):
-    dist = [-1] * len(adjacent)
-    dist[start] = 0
-    queue = [start]
-    while queue:
-        cur = queue.pop()
-        for nxt in adjacent[cur]:
-            if dist[nxt] < 0:
-                dist[nxt] = dist[cur] + 1
-                queue.append(nxt)
-    return dist
-
-
 def generate_sentence(rng):
     """One sentence; see the module docstring for the construction."""
     n_total = int(rng.integers(MIN_LENGTH, MAX_LENGTH + 1))
@@ -59,8 +46,9 @@ def generate_sentence(rng):
     backbone = random_tree(m, rng)
     leaves = [v for v in range(m) if len(backbone[v]) == 1]
     bridge_parent = int(leaves[rng.integers(len(leaves))])
-    dist = _distances_from(backbone, bridge_parent)
-    anchors = [v for v in range(m) if dist[v] >= 2]
+    # the distractor's anchor: any node two or more hops from bridge_parent
+    anchors = [v for v in range(m)
+               if v != bridge_parent and v not in backbone[bridge_parent]]
     anchor = int(anchors[rng.integers(len(anchors))])
     root = int(rng.integers(m))
 

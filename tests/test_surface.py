@@ -27,6 +27,10 @@ lower bound. ``TEST_ONLY`` names the few parameters only tests set.
 imported from it, or an attribute of the module) somewhere in the package
 or the benchmark, or inside ``autodiff.py`` outside the name's own
 definition; and ``__all__`` must list exactly its public top-level names.
+
+Finally, the package's structure: every import in ``src/syntag/*.py`` sits
+at module level, where a reader sees it, and the graph of relative imports
+between the modules has no cycle.
 """
 
 import ast
@@ -195,3 +199,36 @@ def test_every_default_is_overridden_outside_tests():
         if not any(_sets(call, parameter, index) for call in calls.get(name, ())))
     assert [u for u in unset if u not in TEST_ONLY] == []
     assert sorted(TEST_ONLY - set(unset)) == []  # each entry still test-only
+
+
+def test_no_import_inside_a_function():
+    inside = sorted({
+        f"{path.stem}.py:{node.lineno}"
+        for path in PACKAGE
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))})
+    assert inside == []
+
+
+def _package_imports(path):
+    """The sibling modules ``path`` imports relatively."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.partition(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_package_import_graph_is_acyclic():
+    graph = {path.stem: _package_imports(path) for path in PACKAGE}
+    assert graph["cli"]  # the parser sees the relative imports
+    # Strip modules that import nothing still left; a cycle never strips.
+    while leaves := [m for m, deps in graph.items() if not deps & graph.keys()]:
+        for m in leaves:
+            del graph[m]
+    assert graph == {}
