@@ -219,10 +219,11 @@ def _cmd_compare_trees(args):
     A source is "given", "random", or "predicted=PATH" where PATH is a
     corpus file whose heads and relations override the gold trees. Only
     "predicted" takes "=PATH", no source may be listed twice, and every
-    source is checked before the first one trains. Evaluation data passes
-    through the same tree transformation as training data, so a model
-    trained on random trees is also decoded with random trees. Nothing is
-    printed until every source has been scored.
+    source, a tree file's coverage of all three splits included, is checked
+    before the first one trains. Evaluation data passes through the same
+    tree transformation as training data, so a model trained on random
+    trees is also decoded with random trees. Nothing is printed until every
+    source has been scored.
     """
     config = ModelConfig.from_file(args.config)
     corpus = parse_corpus(args.data, config.label_scheme)
@@ -237,8 +238,11 @@ def _cmd_compare_trees(args):
             raise ContractError(f"tree source {source!r} is listed twice")
         if eq and name != "predicted":
             raise ContractError(f"tree source {source!r}: only predicted takes =PATH")
-        configs[source] = dataclasses.replace(
+        cfg = dataclasses.replace(
             config, tree_source=name, tree_file=path or config.tree_file).validate()
+        for split in (train_c, dev_c, test_c):
+            prepare_corpus(split, cfg)  # reads a predicted tree file
+        configs[source] = cfg
     f1 = {}
     lines = []
     for source, cfg in configs.items():

@@ -12,8 +12,10 @@ back, which is how scheme conversion and evaluation are implemented.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -372,31 +374,21 @@ def build_vocab(corpus, min_count=1):
     """
     if not corpus:
         raise ContractError("build_vocab needs a non-empty corpus")
-    counts = {}
-    word_order = []
-    chars = {PAD: 0, UNK: 1}
-    pos_tags = {PAD: 0, UNK: 1}
-    deprels = {PAD: 0, UNK: 1}
-    labels = {}
-    for s in corpus:
-        for tok in s.tokens:
-            if tok not in counts:
-                counts[tok] = 0
-                word_order.append(tok)
-            counts[tok] += 1
-            for ch in tok:
-                chars.setdefault(ch, len(chars))
-        for tag in s.pos_tags:
-            pos_tags.setdefault(tag, len(pos_tags))
-        for rel in s.deprels:
-            deprels.setdefault(rel, len(deprels))
-        for lab in s.labels:
-            labels.setdefault(lab, len(labels))
-    words = {PAD: 0, UNK: 1}
-    for tok in word_order:
-        if counts[tok] >= min_count:
-            words.setdefault(tok, len(words))
-    return Vocabulary(words, chars, pos_tags, deprels, labels)
+    counts = Counter(chain.from_iterable(s.tokens for s in corpus))
+    column = lambda name: chain.from_iterable(getattr(s, name) for s in corpus)
+    # A character is first seen in the first use of some form, so the
+    # distinct forms in first-seen order list the characters in order too.
+    return Vocabulary(
+        _ids(PAD, UNK, *(tok for tok, c in counts.items() if c >= min_count)),
+        _ids(PAD, UNK, *chain.from_iterable(counts)),
+        _ids(PAD, UNK, *column("pos_tags")),
+        _ids(PAD, UNK, *column("deprels")),
+        _ids(*column("labels")))
+
+
+def _ids(*keys):
+    """Ids 0, 1, ... for the distinct keys in first-seen order."""
+    return {key: i for i, key in enumerate(dict.fromkeys(keys))}
 
 
 def load_embeddings(path, vocab, rng):

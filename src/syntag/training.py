@@ -77,7 +77,8 @@ def clip_gradients(params, max_norm):
 
 def _prufer_decode(seq, n):
     """Edges of the labeled tree encoded by a Prufer sequence of length n-2."""
-    degree = np.ones(n, dtype=np.intp)
+    seq = seq.tolist()
+    degree = [1] * n
     for v in seq:
         degree[v] += 1
     leaves = [v for v in range(n) if degree[v] == 1]
@@ -85,11 +86,11 @@ def _prufer_decode(seq, n):
     edges = []
     for v in seq:
         leaf = heapq.heappop(leaves)
-        edges.append((leaf, int(v)))
+        edges.append((leaf, v))
         degree[leaf] -= 1
         degree[v] -= 1
         if degree[v] == 1:
-            heapq.heappush(leaves, int(v))
+            heapq.heappush(leaves, v)
     last = [v for v in range(n) if degree[v] == 1]
     edges.append((last[0], last[1]))
     return edges
@@ -167,8 +168,8 @@ def prepare_corpus(corpus, config):
         c = s.copy()
         if source == "random":
             c.heads = random_tree_heads(len(s), rng)
-            c.deprels = [relations[int(rng.integers(0, len(relations)))]
-                         for _ in range(len(s))]
+            c.deprels = [relations[r] for r in
+                         rng.integers(0, len(relations), size=len(s)).tolist()]
         elif source == "predicted":
             tree = trees.get(tuple(s.tokens))
             if tree is None:

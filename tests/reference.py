@@ -31,6 +31,9 @@ the same jobs one sentence or one step at a time, from loops and tape ops.
 * ``validate_tree``: walks from every token to the root afresh; checks that
   ``data.validate_tree``, which walks each token once, raises the same
   errors.
+* ``build_vocab``: counts words and numbers characters one token and one
+  character at a time; checks the maps of ``data.build_vocab``, which
+  counts in bulk and takes characters from the distinct forms.
 """
 
 import dataclasses
@@ -42,6 +45,7 @@ import numpy as np
 from syntag import crf
 from syntag import recurrent as rc
 from syntag.autodiff import Tensor, constant, matmul, record, relu, rows
+from syntag.data import PAD, UNK
 from syntag.errors import ContractError, DimensionError, TreeValidationError
 
 
@@ -357,3 +361,33 @@ def validate_tree(heads, sentence_index=None):
                 )
             seen.add(node)
             node = heads[node] - 1
+
+
+def build_vocab(corpus, min_count=1):
+    """``data.build_vocab(corpus, min_count).to_dict()``, token by token."""
+    counts = {}
+    word_order = []
+    chars = {PAD: 0, UNK: 1}
+    pos_tags = {PAD: 0, UNK: 1}
+    deprels = {PAD: 0, UNK: 1}
+    labels = {}
+    for s in corpus:
+        for tok in s.tokens:
+            if tok not in counts:
+                counts[tok] = 0
+                word_order.append(tok)
+            counts[tok] += 1
+            for ch in tok:
+                chars.setdefault(ch, len(chars))
+        for tag in s.pos_tags:
+            pos_tags.setdefault(tag, len(pos_tags))
+        for rel in s.deprels:
+            deprels.setdefault(rel, len(deprels))
+        for lab in s.labels:
+            labels.setdefault(lab, len(labels))
+    words = {PAD: 0, UNK: 1}
+    for tok in word_order:
+        if counts[tok] >= min_count:
+            words.setdefault(tok, len(words))
+    return {"words": words, "chars": chars, "pos_tags": pos_tags,
+            "deprels": deprels, "labels": labels}

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import reference
+from syntag import cli
 from syntag.cli import _split_corpus, main
 from syntag.data import parse_corpus, serialize_corpus, validate_labels
 from syntag.model import ModelConfig, SequenceTagger
@@ -378,6 +379,25 @@ class TestExitCodes:
             captured = capsys.readouterr()
             assert f"error: tree source {named}" in captured.err, captured.err
             assert captured.out == ""
+
+    def test_compare_trees_checks_tree_files_before_training(
+            self, workdir, tmp_path, monkeypatch, capsys):
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *a: trained.append(a))
+        corpus = parse_corpus(workdir / "train.tsv")
+        test_c = _split_corpus(corpus)[2]
+        kept = [s for s in corpus if s.tokens != test_c[-1].tokens]
+        assert len(kept) == len(corpus) - 1  # only a test sentence lacks a tree
+        short = tmp_path / "short.tsv"
+        short.write_text(serialize_corpus(kept))
+        for path, says in ((tmp_path / "missing.tsv", "No such file"),
+                           (short, "has no tree in")):
+            assert main(["compare-trees", "--config", str(workdir / "model.conf"),
+                         "--data", str(workdir / "train.tsv"),
+                         "--sources", f"given,random,predicted={path}"]) == 2
+            captured = capsys.readouterr()
+            assert says in captured.err and str(path) in captured.err, captured.err
+            assert captured.out == "" and trained == []
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -377,6 +377,26 @@ class TestVocabulary:
                 data.Vocabulary.from_dict({**good, name: m})
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=st.lists(st.lists(st.tuples(
+               st.one_of(st.sampled_from(["<pad>", "<unk>", "Rome", "rome",
+                                          "ROME", "é", "É", "straße"]),
+                         st.text(alphabet="aAbé日<>ß", min_size=1, max_size=4)),
+               st.sampled_from(["NN", "nn", "<pad>", "<unk>", "VB"]),
+               st.sampled_from(["root", "<unk>", "nsubj", "obj"]),
+               st.sampled_from(["O", "S-A", "B-Ä", "E-Ä"])),
+               min_size=1, max_size=6), min_size=1, max_size=6),
+           min_count=st.integers(1, 3))
+    def test_maps_match_the_token_by_token_oracle(self, corpus, min_count):
+        # Sentence(tokens, pos_tags, heads, deprels, labels); no map reads heads.
+        sentences = [data.Sentence([r[0] for r in rows], [r[1] for r in rows],
+                                   [0] * len(rows), [r[2] for r in rows],
+                                   [r[3] for r in rows]) for rows in corpus]
+        got = data.build_vocab(sentences, min_count).to_dict()
+        want = reference.build_vocab(sentences, min_count)
+        assert {name: list(m.items()) for name, m in got.items()} == {
+            name: list(m.items()) for name, m in want.items()}
+
 class TestEmbeddings:
     def test_copies_known_rows(self, tmp_path):
         corpus = [data.Sentence(["the", "cat"], ["D", "N"], [2, 0],

@@ -23,6 +23,7 @@ from syntag.errors import (ContractError, DataIntegrityError, FormatError,
                            NumericalError)
 from syntag.gradcheck import random_instances
 from syntag.model import ModelConfig, SequenceTagger
+from syntag.synthetic import generate_splits
 from syntag.training import (Checkpoint, build_model, clip_gradients,
                              epoch_lr, load_checkpoint, prepare_corpus,
                              random_tree_heads, save_checkpoint, sgd_step,
@@ -145,9 +146,11 @@ class TestClipGradients:
 class TestRandomTrees:
     def test_always_valid(self):
         rng = np.random.default_rng(3)
-        for _ in range(500):
-            n = int(rng.integers(1, 15))
-            validate_tree(random_tree_heads(n, rng), 0)
+        for n in range(1, 61):
+            for _ in range(8):
+                heads = random_tree_heads(n, rng)
+                validate_tree(heads, 0)
+                assert len(heads) == n
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
@@ -177,8 +180,8 @@ class TestRandomTrees:
     def test_randomize_trees_keeps_text(self):
         corpus = random_instances(6, 7, num_labels=2, seed=1)
         out = prepare_corpus(corpus, small_config(tree_source="random", seed=5))
-        assert [s.tokens for s in out] == [s.tokens for s in corpus]
-        assert [s.labels for s in out] == [s.labels for s in corpus]
+        for s, c in zip(out, corpus, strict=True):
+            assert (s.tokens, s.pos_tags, s.labels) == (c.tokens, c.pos_tags, c.labels)
         observed = {r for s in corpus for r in s.deprels}
         for s in out:
             validate_tree(s.heads, 0)
@@ -186,10 +189,10 @@ class TestRandomTrees:
         assert any(a.heads != b.heads for a, b in zip(out, corpus))
 
     def test_randomize_trees_does_not_mutate_input(self):
-        corpus = random_instances(3, 6, num_labels=2, seed=1)
-        before = [list(s.heads) for s in corpus]
+        corpus = random_instances(5, 30, num_labels=3, seed=1)
+        before = serialize_corpus(corpus)
         prepare_corpus(corpus, small_config(tree_source="random", seed=2))
-        assert [list(s.heads) for s in corpus] == before
+        assert serialize_corpus(corpus) == before
 
     def test_randomize_trees_deterministic(self):
         corpus = random_instances(4, 6, num_labels=2, seed=1)
@@ -207,6 +210,40 @@ class TestRandomTrees:
         blob = json.dumps([[s.heads, s.deprels] for s in out]).encode()
         assert hashlib.sha256(blob).hexdigest() == (
             "2abfa8b91b772925ac6542690267aaa7150a64be77f8b1619fb9b8c9e6600f27")
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 50, 2**31 + 5])
+    @pytest.mark.parametrize("n", [0, 1, 14, 50])
+    def test_bulk_integer_draws_equal_scalar_draws(self, bound, n):
+        # prepare_corpus draws a sentence's relations in one call. Its stream
+        # depends on numpy filling the array with the draws that as many
+        # scalar calls would make, and leaving the generator where they would.
+        bulk, scalar = np.random.default_rng(23), np.random.default_rng(23)
+        assert bulk.integers(0, 7) == scalar.integers(0, 7)  # odd 32-bit offset
+        assert bulk.integers(0, bound, size=n).tolist() == [
+            int(scalar.integers(0, bound)) for _ in range(n)]
+        assert bulk.bit_generator.state == scalar.bit_generator.state
+        assert bulk.integers(0, bound) == scalar.integers(0, bound)
+
+    def test_prepared_stream_is_pinned(self):
+        # The random source and the original-dependency ablation draw the same
+        # trees from the same seed; a change to either draw order shows here.
+        digest = lambda c: hashlib.sha256(serialize_corpus(c).encode()).hexdigest()
+        want = {
+            0: ["1e1c611d25b2ac643a9048a57305e9d9a4a6f6ac81bf7fd7d34efe213c91d8fa",
+                "ff660c9cc428a37f7a04cdbe4007126d84089a3e4f030d33c440f4a6011b79b6",
+                "0881b1bca851858fb6c4cc3812e000bd6e92badc53111f5ff1082ceeaf464b6a"],
+            7: ["209f3f98167a7504d113bb7da79867ccbbf8c3c479aa4b0a70e447991e404f9b",
+                "2445a744208baf89838927cb4f5c249c0fd2510ff8d68e58e248b3ee389f0e7a",
+                "6688dcf3d6938448dde4428196e1a82b683b0114a48d18c935a178c949ade377"],
+            13: ["d670677de02959d779736c7e280012a8d34bb6e113e9ce8dfab91f22bcb13a7b",
+                 "896ef3feeeea0dfcfe39117ac3b77b76955ef114978167aac28f1afdb9c7d9ad",
+                 "e97ee98b304e3e2920326dc1043cc13c797facc7dbf4a708d1656618f2f518a7"],
+        }
+        for overrides in (dict(tree_source="random"), dict(drop="original-dependency")):
+            got = {seed: [digest(prepare_corpus(split, small_config(seed=seed, **overrides)))
+                          for split in generate_splits(seed=seed)]
+                   for seed in want}
+            assert got == want, overrides
 
 
 class TestTreeSource:
