@@ -11,6 +11,8 @@ this package. Design points:
 * The tape is rebuilt on every step, so control flow in model code is plain
   Python (loops over timesteps of varying length are fine).
 * relu has derivative 0 at exactly 0.
+* :func:`backward` drops each node once it has passed its gradient on, so
+  afterwards only leaves keep ``.grad``; the tape keeps its length.
 
 A minimal example; the scalar loss is an op of its own, built on ``record``::
 
@@ -136,24 +138,25 @@ def backward(loss):
         )
     tape._consumed = True
     loss.grad = np.ones((), dtype=np.float64)
-    for out, inputs, backward_fn in reversed(tape._nodes):
-        if out.grad is None:
-            continue
-        grads = backward_fn(out.grad)
-        for inp, g in zip(inputs, grads):
-            if g is None or not inp.requires_grad:
-                continue
+    for i in range(len(tape._nodes) - 1, -1, -1):
+        _pass_on(tape._nodes, i)
+    loss._tape = _SPENT
+
+
+def _pass_on(nodes, i):
+    """Run node i's backward; drop its closure, output gradient and tape link."""
+    (out, inputs, backward_fn), nodes[i] = nodes[i], None
+    grad, out.grad, out._tape = out.grad, None, None
+    if grad is None:
+        return
+    del out
+    grads = backward_fn(grad)
+    del backward_fn, grad
+    for inp, g in zip(inputs, grads):
+        if g is not None and inp.requires_grad:
             # Accumulation always builds a fresh array, so views returned
             # by backward closures are safe to hold.
-            if inp.grad is None:
-                inp.grad = g
-            else:
-                inp.grad = inp.grad + g
-    # Break each out._tape -> tape -> _nodes -> out cycle, so the step's
-    # activations go by reference counting once the tape itself does.
-    for out, _, _ in tape._nodes:
-        out._tape = None
-    loss._tape = _SPENT
+            inp.grad = g if inp.grad is None else inp.grad + g
 
 
 def clear_grads(tensors):
@@ -215,8 +218,7 @@ def add(a, b):
 
 
 def mul(a, b):
-    """Elementwise product; no gradient is formed for a constant operand,
-    such as a dropout mask."""
+    """Elementwise product; no gradient is formed for a constant operand."""
     a, b = _wrap(a), _wrap(b)
     _broadcast_check(a, b, "mul")
     out = Tensor(a.data * b.data)

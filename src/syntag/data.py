@@ -214,10 +214,14 @@ def parse_corpus(path, label_scheme="bioes"):
 
     Every sentence is validated: column arity and integer fields (ParseError
     with the line number), tree structure (TreeValidationError with the
-    sentence index), and label-scheme validity (SchemeError).
+    sentence index), label-scheme validity (SchemeError), and UTF-8 (ParseError
+    with the path and byte offset).
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start}: not UTF-8") from None
     return _parse_lines(lines, label_scheme)
 
 

@@ -99,8 +99,8 @@ def random_instances(count, length, num_labels, seed):
 
     Tokens (12 words), POS tags and deprels are drawn from tiny closed
     inventories; heads form a random rooted tree; labels are sampled from a
-    BIOES inventory with ``num_labels`` types reduced to whatever fits in
-    ``length`` tokens (single-token spans only, which is always valid).
+    BIOES inventory with ``num_labels`` types (single-token spans only,
+    which is always valid). ``length`` is one length or one per sentence.
     """
     rng = np.random.default_rng(seed)
     words = [f"w{w}" for w in range(12)]
@@ -108,13 +108,13 @@ def random_instances(count, length, num_labels, seed):
     rels = ["nsubj", "obj", "nmod"]
     types = [f"T{k}" for k in range(max(1, num_labels))]
     sentences = []
-    for _ in range(count):
-        toks = [words[rng.integers(len(words))] for _ in range(length)]
-        pos = [pos_tags[rng.integers(len(pos_tags))] for _ in range(length)]
-        dep = [rels[rng.integers(len(rels))] for _ in range(length)]
-        heads = random_tree_heads(length, rng)
+    for n in np.broadcast_to(length, count).tolist():
+        toks = [words[rng.integers(len(words))] for _ in range(n)]
+        pos = [pos_tags[rng.integers(len(pos_tags))] for _ in range(n)]
+        dep = [rels[rng.integers(len(rels))] for _ in range(n)]
+        heads = random_tree_heads(n, rng)
         labels = []
-        for _ in range(length):
+        for _ in range(n):
             if rng.random() < 0.5:
                 labels.append("O")
             else:
@@ -128,9 +128,11 @@ def check_model_variant(variant, seed=0, count=5, length=3, hidden=8, step=1e-5)
 
     Builds ``count`` random sentences, a tiny model (hidden size ``hidden``,
     small embedding tables), and runs check_gradients on the mean
-    negative log likelihood over the batch with dropout disabled.
+    negative log likelihood over the batch with dropout disabled. Sentence
+    i has ``(length, 1, (length + 1) // 2)[i % 3]`` tokens: a padded batch.
     """
-    sentences = random_instances(count, length, num_labels=2, seed=seed)
+    lengths = [(length, 1, (length + 1) // 2)[i % 3] for i in range(count)]
+    sentences = random_instances(count, lengths, num_labels=2, seed=seed)
     vocab = build_vocab(sentences, min_count=1)
     config = ModelConfig(
         variant=variant,

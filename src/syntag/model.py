@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crf as crf_mod
-from .autodiff import concat, constant, rows
+from .autodiff import Tensor, concat, constant, record, rows
 from .data import SCHEMES, Vocabulary
 from .embeddings import (CharEncoder, EmbeddingTables, gather_padded,
                          with_zero_row)
@@ -411,8 +411,10 @@ class SequenceTagger:
         p = self.config.dropout
         if p == 0.0:
             return x
-        mask = (rng.random(x.data.shape) >= p).astype(np.float64) / (1.0 - p)
-        return x * constant(mask)
+        # keep * scale is bitwise keep.astype(float) / (1 - p), held as bools
+        keep, scale = rng.random(x.data.shape) >= p, 1.0 / (1.0 - p)
+        return record(Tensor(x.data * (keep * scale)), (x,),
+                      lambda g: (g * (keep * scale),))
 
     # ----- objectives and decoding -------------------------------------
 

@@ -154,7 +154,8 @@ def _direction(x, g, p, src, live, order, out, final, keep, acts):
     rank's state after its last step into ``out[order]`` ((B, H)), and
     leaves the rest of ``out`` alone. The x and g projections are computed
     a block of steps ahead (see ``_BLOCK_ROWS``). With ``keep`` it caches
-    what the backward needs and returns the backward function, else None.
+    what the backward needs and returns the backward function, else None;
+    the backward gives the x and g gradients of rows ``src``, packed.
     ``acts`` is None or a (len(src), len(p.gates), H) array that receives
     every step's activations in packed order.
     """
@@ -260,16 +261,12 @@ def _direction(x, g, p, src, live, order, out, final, keep, acts):
             dh[:k] = step.reshape(k, width) @ w_h_t
         d2 = dpre.reshape(tokens, width)
         d_tok = d2[:, :tok]
-        dx = np.zeros(x.shape)
-        dx[src] = d_tok @ w_x.T
         dw_h, db = seq[prev].T @ d2[live[0]:], d2.sum(axis=0)
         dw_x = x[src].T @ d_tok
         if g is None:
-            return dx, dw_x, dw_h, db
+            return d_tok @ w_x.T, dw_x, dw_h, db
         d_grf = d2[:, grf:]
-        dg = np.zeros(g.shape)
-        dg[src] = d_grf @ w_g.T
-        return dx, dg, dw_x, g[src].T @ d_grf, dw_h, db
+        return d_tok @ w_x.T, d_grf @ w_g.T, dw_x, g[src].T @ d_grf, dw_h, db
 
     return backward
 
@@ -290,9 +287,10 @@ def bidirectional(x, g, lengths, fwd, bwd, final=False, gates=None):
     GATE_NAMES appends to ``gates[name]`` one (tokens, 2, H) array: its
     activations at the batch's real positions in row order, direction 0
     forward. Under a tape the result is one node over x, g and both
-    directions' parameters. A large call runs its reverse direction on the
-    ``_REVERSE`` thread (see the module docstring), so a task on that thread
-    must never call this function.
+    directions' parameters; its backward builds one gradient array per
+    stream, scattering each direction's packed rows into it. A large call
+    runs its reverse direction on the ``_REVERSE`` thread (see the module
+    docstring), so a task on that thread must never call this function.
     """
     if (g is None) != (fwd.graph_dim is None):
         raise ContractError("a graph stream needs graph-gated parameters and vice versa")
@@ -322,6 +320,7 @@ def bidirectional(x, g, lengths, fwd, bwd, final=False, gates=None):
     # The forward direction reads position t at step t, the reverse one
     # starts each sentence at its own last position.
     positions = (step, lengths[sent] - 1 - step)
+    srcs = tuple(sent * n_max + at for at in positions)
     flat = np.zeros((batch if final else batch * n_max, 2 * hidden))
     streams = (x,) if g is None else (x, g)
     inputs = streams + tuple(w for p in (fwd, bwd) for w in p.parameters().values())
@@ -334,7 +333,7 @@ def bidirectional(x, g, lengths, fwd, bwd, final=False, gates=None):
         p = (fwd, bwd)[side]
         act = None if gates is None else np.empty((len(step), len(p.gates), hidden))
         return act, _direction(
-            x.data, None if g is None else g.data, p, sent * n_max + positions[side],
+            x.data, None if g is None else g.data, p, srcs[side],
             live, order, flat[:, cols[side]], final, keep, act)
 
     (acts_fwd, bk_fwd), (acts_bwd, bk_bwd) = _both_sides(run, concurrent)
@@ -350,9 +349,12 @@ def bidirectional(x, g, lengths, fwd, bwd, final=False, gates=None):
     def backward(grad):
         d_fwd, d_bwd = _both_sides(
             lambda side: (bk_fwd, bk_bwd)[side](grad[:, cols[side]]), concurrent)
-        n = len(streams)  # x and g get the sum of both directions' gradients
-        return (tuple(b + f for b, f in zip(d_bwd[:n], d_fwd[:n]))
-                + d_fwd[n:] + d_bwd[n:])
+        n = len(streams)  # x and g get b + f at real rows, zero at padded ones
+        summed = [np.zeros(t.data.shape) for t in streams]
+        for d, b, f in zip(summed, d_bwd, d_fwd):
+            d[srcs[1]] = b
+            d[srcs[0]] += f
+        return tuple(summed) + d_fwd[n:] + d_bwd[n:]
 
     return ad.record(Tensor(flat), inputs, backward)
 

@@ -285,6 +285,17 @@ class TestExitCodes:
         assert main(["eval", "--model", str(workdir / "model.ckpt"),
                      "--data", str(bad)]) == 2
 
+    def test_corpus_that_is_not_utf8_is_data_error(self, workdir, tmp_path, capsys):
+        raw = (workdir / "dev.tsv").read_bytes()
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(raw[:100] + b"\xff" + raw[100:])
+        capsys.readouterr()
+        assert main(["eval", "--model", str(workdir / "model.ckpt"),
+                     "--data", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: byte 100: not UTF-8" in err
+        assert "Traceback" not in err
+
     def test_corrupt_checkpoint_is_data_error(self, workdir, tmp_path, capsys):
         raw = bytearray((workdir / "model.ckpt").read_bytes())
         with zipfile.ZipFile(workdir / "model.ckpt") as zf:

@@ -21,7 +21,7 @@ import syntag
 from syntag import crf as crf_mod
 from syntag import model as model_mod
 from syntag import recurrent
-from syntag.autodiff import Tape, backward
+from syntag.autodiff import Tape, Tensor, backward, constant
 from syntag.data import build_vocab
 from syntag.embeddings import CharEncoder
 from syntag.errors import ContractError, FormatError
@@ -298,6 +298,39 @@ class TestDropout:
         a = model.loss_batch(sentences, train=True, rng=rng).item()
         b = model.loss_batch(sentences).item()
         assert a == b
+
+    @pytest.mark.parametrize("p", [0.5, 0.3])
+    def test_node_matches_a_float_mask_bit_for_bit(self, p):
+        model, _ = make_model(dropout=p)
+        data = np.random.default_rng(1).normal(size=(7, 5))
+        dropped = np.random.default_rng(2).random(data.shape) < p
+        data[np.unravel_index(np.argmax(dropped), data.shape)] = np.nan
+        weights = Tensor(np.random.default_rng(3).normal(size=data.shape))
+        runs = []
+        for node in (True, False):
+            rng = np.random.default_rng(2)
+            x = Tensor(data.copy(), requires_grad=True)
+            with Tape():
+                if node:
+                    y = model._dropout(x, rng)
+                else:
+                    mask = (rng.random(data.shape) >= p).astype(np.float64) / (1.0 - p)
+                    y = x * constant(mask)
+                loss = reference.total(y * weights)
+            backward(loss)
+            runs.append([y.data, x.grad, rng.random(4)])
+        for got, want in zip(*runs):
+            assert got.tobytes() == want.tobytes()
+        assert np.isnan(runs[0][0][dropped]).sum() == 1
+
+    def test_zero_dropout_is_the_input_itself(self):
+        model, _ = make_model(dropout=0.0)
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        rng = np.random.default_rng(0)
+        with Tape() as tape:
+            assert model._dropout(x, rng) is x
+        assert tape._nodes == []
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 class TestDecoding:

@@ -585,6 +585,43 @@ class TestKernel:
         for name, grad in grads.items():
             np.testing.assert_array_equal(grad, 0.0, err_msg=name)
 
+    @pytest.mark.parametrize("threshold", [1 << 62, 0], ids=["inline", "concurrent"])
+    @pytest.mark.parametrize("final", [False, True], ids=["sequence", "final"])
+    @pytest.mark.parametrize("graph", [True, False], ids=["graph", "plain"])
+    def test_stream_gradients_sum_both_directions_bitwise(self, graph, final,
+                                                          threshold):
+        # Each stream's gradient is bitwise b + f of the two directions'
+        # packed rows scattered into padded zeros, as separate arrays.
+        fwd, bwd, x, g, rng = _kernel_case(graph, seed=29)
+        streams = (x,) if g is None else (x, g)
+        packed, real = {}, rc._direction
+
+        def spy(*args):
+            bk = real(*args)
+
+            def watched(grad):
+                out = bk(grad)
+                packed[args[2] is bwd] = (args[3], out[:len(streams)])
+                return out
+            return watched
+
+        weights = ad.constant(rng.normal(size=(len(LENGTHS) if final
+                                               else x.data.shape[0], 8)))
+        with mock.patch.object(rc, "_direction", spy), _concurrency(threshold):
+            with ad.Tape():
+                loss = reference.total(rc.bidirectional(
+                    x, g, LENGTHS, fwd, bwd, final=final) * weights)
+            ad.backward(loss)
+        padded = (np.arange(max(LENGTHS))[None, :]
+                  >= np.array(LENGTHS)[:, None]).ravel()
+        for k, t in enumerate(streams):
+            b, f = (np.zeros(t.data.shape) for _ in range(2))
+            for side, d in ((True, b), (False, f)):
+                src, grads = packed[side]
+                d[src] = grads[k]
+            assert t.grad.tobytes() == (b + f).tobytes()
+            assert not t.grad[padded].any() and not np.signbit(t.grad[padded]).any()
+
     def test_final_state_gradients_match_finite_differences(self):
         fwd, bwd, x, _, rng = _kernel_case(False, seed=23)
         weights = ad.constant(rng.normal(size=(len(LENGTHS), 8)))
