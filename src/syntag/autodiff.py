@@ -11,6 +11,10 @@ this package. Design points:
 * The tape is rebuilt on every step, so control flow in model code is plain
   Python (loops over timesteps of varying length are fine).
 * relu has derivative 0 at exactly 0.
+* A tape node holds a gradient slot for its output and one per input (a
+  leaf or a constant input is itself), never a recorded output, so an
+  array lives only while forward code or a backward closure reads it.
+  Closures capture only the arrays and shapes they read.
 * :func:`backward` drops each node once it has passed its gradient on, so
   afterwards only leaves keep ``.grad``; the tape keeps its length.
 
@@ -54,18 +58,18 @@ _TAPE_STACK: list["Tape"] = []
 class Tensor:
     """A float64 array plus an optional gradient buffer.
 
-    ``requires_grad`` marks leaves the caller wants gradients for.
-    Intermediate results created while a tape is active are tracked
-    automatically when any of their inputs are tracked.
+    ``requires_grad`` marks leaves the caller wants gradients for. Results
+    made under a tape from tracked inputs are tracked too; their gradient
+    accumulates in ``_slot``, and their ``.grad`` stays None.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_tape")
+    __slots__ = ("data", "grad", "requires_grad", "_tape", "_slot")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._tape = None
+        self._tape = self._slot = None
 
     def item(self):
         return float(self.data)
@@ -92,6 +96,13 @@ def _wrap(value):
     return Tensor(np.asarray(value, dtype=np.float64))
 
 
+class _Slot:
+    """The gradient of one recorded output, which a tape node holds instead."""
+
+    grad = None
+    requires_grad = True
+
+
 class Tape:
     """Records the operations needed to run one backward pass.
 
@@ -114,13 +125,11 @@ class Tape:
         return False
 
     def _record(self, out, inputs, backward_fn):
-        out.requires_grad = True
-        out._tape = self
-        self._nodes.append((out, inputs, backward_fn))
-
-
-_SPENT = Tape()  # where a loss points once its backward has run
-_SPENT._consumed = True
+        """Append node (out's slot, each input's slot, backward_fn); an input
+        that is a leaf or a constant stands for itself."""
+        out.requires_grad, out._tape, out._slot = True, self, _Slot()
+        self._nodes.append((out._slot, tuple(t._slot or t for t in inputs),
+                            backward_fn))
 
 
 def backward(loss):
@@ -137,19 +146,17 @@ def backward(loss):
             f"backward requires a scalar loss, got shape {loss.data.shape}"
         )
     tape._consumed = True
-    loss.grad = np.ones((), dtype=np.float64)
+    loss._slot.grad = np.ones((), dtype=np.float64)
     for i in range(len(tape._nodes) - 1, -1, -1):
         _pass_on(tape._nodes, i)
-    loss._tape = _SPENT
 
 
 def _pass_on(nodes, i):
-    """Run node i's backward; drop its closure, output gradient and tape link."""
-    (out, inputs, backward_fn), nodes[i] = nodes[i], None
-    grad, out.grad, out._tape = out.grad, None, None
+    """Run node i's backward; drop its closure and output gradient."""
+    (slot, inputs, backward_fn), nodes[i] = nodes[i], None
+    grad, slot.grad = slot.grad, None
     if grad is None:
         return
-    del out
     grads = backward_fn(grad)
     del backward_fn, grad
     for inp, g in zip(inputs, grads):
@@ -210,9 +217,10 @@ def add(a, b):
     a, b = _wrap(a), _wrap(b)
     _broadcast_check(a, b, "add")
     out = Tensor(a.data + b.data)
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def bk(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return record(out, (a, b), bk)
 
@@ -222,14 +230,13 @@ def mul(a, b):
     a, b = _wrap(a), _wrap(b)
     _broadcast_check(a, b, "mul")
     out = Tensor(a.data * b.data)
-    a_data, b_data = a.data, b.data
-    need_a, need_b = a.requires_grad, b.requires_grad
+    shapes = a.data.shape, b.data.shape
+    others = (b.data if a.requires_grad else None,
+              a.data if b.requires_grad else None)
 
     def bk(g):
-        return (
-            _unbroadcast(g * b_data, a_data.shape) if need_a else None,
-            _unbroadcast(g * a_data, b_data.shape) if need_b else None,
-        )
+        return tuple(None if o is None else _unbroadcast(g * o, shape)
+                     for o, shape in zip(others, shapes))
 
     return record(out, (a, b), bk)
 

@@ -135,10 +135,10 @@ def log_partition_batch(em, lengths, t):
     log_z, stop_weights = _logsumexp(alpha + t[:L, L + 1])
 
     def adjoint(g):
-        d_trans = np.zeros_like(t)
+        d_trans = np.zeros((L + 2, L + 2))
         d_alpha = g[:, None] * stop_weights
         d_trans[:L, L + 1] = d_alpha.sum(axis=0)
-        d_em = np.zeros_like(em)
+        d_em = np.zeros((batch, n_max, L))
         for s in range(n_max - 1, 0, -1):
             d_em[:, s] = np.where(live[:, s, None], d_alpha, 0.0)
             d_alpha = np.where(live[:, s, None], 0.0, d_alpha) + np.matmul(
@@ -191,7 +191,7 @@ def nll_batch(emissions_flat, lengths, trans, gold_ids):
         d_em[em_at] -= scale
         gold_counts = np.zeros_like(d_trans)  # repeated bigrams add up here
         np.add.at(gold_counts, tr_at, -scale)
-        return d_em.reshape(emissions_flat.data.shape), d_trans + gold_counts
+        return d_em.reshape(batch * n_max, L), d_trans + gold_counts
 
     return record(Tensor(loss), (emissions_flat, trans), bk)
 

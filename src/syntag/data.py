@@ -209,20 +209,29 @@ def convert_label_scheme(labels, from_scheme, to_scheme):
     return encode_label_spans(spans, len(labels), to_scheme)
 
 
+def read_lines(path, error):
+    """The lines of UTF-8 text file ``path``; ``error`` naming the path and
+    the offset of the first byte that is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: byte {exc.start}: not UTF-8") from None
+
+
 def parse_corpus(path, label_scheme="bioes"):
     """Read a TSV corpus file into a list of Sentences.
 
     Every sentence is validated: column arity and integer fields (ParseError
     with the line number), tree structure (TreeValidationError with the
     sentence index), label-scheme validity (SchemeError), and UTF-8 (ParseError
-    with the path and byte offset).
+    with the byte offset). Each of these errors starts with the path.
     """
+    lines = read_lines(path, ParseError)
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: byte {exc.start}: not UTF-8") from None
-    return _parse_lines(lines, label_scheme)
+        return _parse_lines(lines, label_scheme)
+    except (ParseError, TreeValidationError, SchemeError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _parse_lines(lines, label_scheme):
@@ -399,37 +408,41 @@ def load_embeddings(path, vocab, rng):
     """Load pretrained word vectors for every word in ``vocab``.
 
     The file has one ``token v1 ... vD`` line per word; an optional first
-    line ``count D`` (two integers) is detected and skipped. Vocabulary
-    words absent from the file keep their random initialization, drawn
-    first so the result is reproducible for a given rng. The PAD row is
-    zero. Returns a (num_words, D) float64 matrix.
+    line ``count D`` (two integers) is skipped. Vocabulary words absent
+    from the file keep their random initialization, drawn first so the
+    result is reproducible for a given rng. The PAD row is zero. Returns a
+    (num_words, D) float64 matrix. Every FormatError names the file.
     """
     vectors = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            if line_no == 1 and len(parts) == 2 and _both_ints(parts):
-                continue  # header line
-            token, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-                if dim == 0:
-                    raise FormatError(f"line {line_no}: no vector values")
-            elif len(values) != dim:
-                raise FormatError(
-                    f"line {line_no}: expected {dim} values, got {len(values)}"
-                )
-            try:
-                vectors[token] = np.array([float(v) for v in values])
-            except ValueError:
-                raise FormatError(f"line {line_no}: non-numeric vector value") from None
-            if not np.isfinite(vectors[token]).all():
-                raise FormatError(f"line {line_no}: non-finite vector value")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                parts = line.rstrip("\n").split()
+                if not parts:
+                    continue
+                if line_no == 1 and len(parts) == 2 and _both_ints(parts):
+                    continue  # header line
+                token, values = parts[0], parts[1:]
+                where = f"{path}: line {line_no}"
+                if dim is None:
+                    dim = len(values)
+                    if dim == 0:
+                        raise FormatError(f"{where}: no vector values")
+                elif len(values) != dim:
+                    raise FormatError(
+                        f"{where}: expected {dim} values, got {len(values)}")
+                try:
+                    vectors[token] = np.array([float(v) for v in values])
+                except ValueError:
+                    raise FormatError(f"{where}: non-numeric vector value") from None
+                if not np.isfinite(vectors[token]).all():
+                    raise FormatError(f"{where}: non-finite vector value")
+    except UnicodeDecodeError:  # reread whole for the byte's offset in the file
+        read_lines(path, FormatError)
+        raise
     if dim is None:
-        raise FormatError("embedding file contains no vectors")
+        raise FormatError(f"{path}: embedding file contains no vectors")
     matrix = embedding_table(rng, len(vocab.words), dim).data
     for token, wid in vocab.words.items():
         if token in (PAD, UNK):

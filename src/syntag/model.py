@@ -28,7 +28,7 @@ import numpy as np
 
 from . import crf as crf_mod
 from .autodiff import Tensor, concat, constant, record, rows
-from .data import SCHEMES, Vocabulary
+from .data import SCHEMES, Vocabulary, read_lines
 from .embeddings import (CharEncoder, EmbeddingTables, gather_padded,
                          with_zero_row)
 from .errors import ContractError, FormatError
@@ -130,27 +130,26 @@ class ModelConfig:
     def from_file(cls, path):
         kwargs, first_line = {}, {}
         types = {f.name: f.type for f in dataclasses.fields(cls)}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise FormatError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                key, value = key.strip(), value.strip()
-                if key not in types:
-                    raise FormatError(f"{path}:{lineno}: unknown option {key!r}")
-                if key in first_line:
-                    raise FormatError(f"{path}:{lineno}: option {key!r} repeats "
-                                      f"line {first_line[key]}")
-                first_line[key] = lineno
-                try:
-                    kwargs[key] = _FIELD_TYPES[types[key]][0](value)
-                except ValueError:
-                    raise FormatError(
-                        f"{path}:{lineno}: bad value {value!r} for {key!r}"
-                    ) from None
+        for lineno, raw in enumerate(read_lines(path, FormatError), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise FormatError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if key not in types:
+                raise FormatError(f"{path}:{lineno}: unknown option {key!r}")
+            if key in first_line:
+                raise FormatError(f"{path}:{lineno}: option {key!r} repeats "
+                                  f"line {first_line[key]}")
+            first_line[key] = lineno
+            try:
+                kwargs[key] = _FIELD_TYPES[types[key]][0](value)
+            except ValueError:
+                raise FormatError(
+                    f"{path}:{lineno}: bad value {value!r} for {key!r}"
+                ) from None
         return cls(**kwargs).validate()
 
 
@@ -368,14 +367,13 @@ class SequenceTagger:
          char_rows) = self._batch_arrays(sentences, forms)
         total = batch * n_max
 
-        word_rows = rows(self.tables.word, word_ids)
         if forms is None:
             char_vecs = with_zero_row(self.char_encoder.encode_batch(
                 self.tables.char, char_rows))
         else:
             char_vecs = forms.char_vecs
-        char_rows_flat = gather_padded(char_vecs, position_of, total)
-        parts = [word_rows, char_rows_flat]
+        parts = [rows(self.tables.word, word_ids),
+                 gather_padded(char_vecs, position_of, total)]
         if self.use_deprel:
             parts.append(rows(self.tables.deprel, deprel_ids))
         x_parts = list(parts)
@@ -384,19 +382,22 @@ class SequenceTagger:
         x = concat(x_parts, axis=1)
         if train:
             x = self._dropout(x, rng)
+        # The gathered rows go once both concats exist; no closure reads them.
+        g0 = concat(parts, axis=1) if self.gcn is not None else None
+        del char_vecs, parts, x_parts
 
         g_flat = None
         if self.use_graph:
             if self.zero_graph:
                 g_flat = constant(np.zeros((total, self.config.hidden)))
             else:
-                g0 = concat(parts, axis=1)
                 if train:
                     g0 = self._dropout(g0, rng)
                 adj = batch_normalized_adjacency(
                     [s.heads for s in sentences], n_max)
                 g_flat = encode_batch(g0, adj, self.gcn,
                                       self_only=self.config.self_only_gcn)
+                del g0
         if self.config.variant == "gcn-concat-bilstm-crf":
             x, g_flat = concat([x, g_flat], axis=1), None
 

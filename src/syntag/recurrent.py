@@ -287,10 +287,11 @@ def bidirectional(x, g, lengths, fwd, bwd, final=False, gates=None):
     GATE_NAMES appends to ``gates[name]`` one (tokens, 2, H) array: its
     activations at the batch's real positions in row order, direction 0
     forward. Under a tape the result is one node over x, g and both
-    directions' parameters; its backward builds one gradient array per
-    stream, scattering each direction's packed rows into it. A large call
-    runs its reverse direction on the ``_REVERSE`` thread (see the module
-    docstring), so a task on that thread must never call this function.
+    directions' parameters; its backward releases each direction's caches
+    once its BPTT returns, and scatters both directions' packed rows into
+    one gradient array per stream. A large call runs its reverse direction
+    on the ``_REVERSE`` thread (see the module docstring), so a task on
+    that thread must never call this function.
     """
     if (g is None) != (fwd.graph_dim is None):
         raise ContractError("a graph stream needs graph-gated parameters and vice versa")
@@ -346,11 +347,14 @@ def bidirectional(x, g, lengths, fwd, bwd, final=False, gates=None):
                     stacked[starts[sent] + positions[side], side] = act[:, k]
                 gates.setdefault(name, []).append(stacked)
 
+    bptts = {0: bk_fwd, 1: bk_bwd}  # popped by the BPTT, so the caches go with it
+    shapes = [t.data.shape for t in streams]
+
     def backward(grad):
         d_fwd, d_bwd = _both_sides(
-            lambda side: (bk_fwd, bk_bwd)[side](grad[:, cols[side]]), concurrent)
-        n = len(streams)  # x and g get b + f at real rows, zero at padded ones
-        summed = [np.zeros(t.data.shape) for t in streams]
+            lambda side: bptts.pop(side)(grad[:, cols[side]]), concurrent)
+        n = len(shapes)  # x and g get b + f at real rows, zero at padded ones
+        summed = [np.zeros(shape) for shape in shapes]
         for d, b, f in zip(summed, d_bwd, d_fwd):
             d[srcs[1]] = b
             d[srcs[0]] += f

@@ -208,6 +208,22 @@ class TestTapeSemantics:
         assert all(t.grad is None for t in outs + [loss])
         np.testing.assert_array_equal(x.grad, np.full(3, 2.0 * (4.0 + 5.0)))
 
+    def test_an_output_no_closure_reads_dies_before_backward(self):
+        x = ad.Tensor(np.array([-1.0, 2.0, 3.0]), requires_grad=True)
+        gc.disable()
+        try:
+            with ad.Tape() as tape:
+                a = ad.add(x, 1.0)  # add's backward reads shapes only
+                middle = weakref.ref(a.data)
+                loss = reference.total(ad.relu(a))  # relu keeps a bool mask
+                del a
+            assert middle() is None
+            ad.backward(loss)
+        finally:
+            gc.enable()
+        assert len(tape._nodes) == 3
+        np.testing.assert_array_equal(x.grad, [0.0, 1.0, 1.0])
+
     def test_no_gradient_into_constants(self):
         x = ad.Tensor(np.ones(3), requires_grad=True)
         c = ad.constant(np.ones(3))

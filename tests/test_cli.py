@@ -357,6 +357,38 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err, err
 
+    def test_config_and_embeddings_errors_name_their_file(self, workdir, tmp_path,
+                                                          capsys):
+        text = (workdir / "model.conf").read_text()
+        vectors = [tmp_path / "not_utf8.txt", tmp_path / "short.txt"]
+        vectors[0].write_bytes(b"fill1 1.0 2.0\n\xff 3.0 4.0\n")
+        vectors[1].write_text("fill1 1.0 2.0\nfill2 1.0\n")
+        confs = [(text + "# \xff\n").encode("latin-1")] + [
+            re.sub(r"(?m)^embeddings = .*$", f"embeddings = {path}", text).encode()
+            for path in vectors]
+        says = [f"byte {len(text) + 2}: not UTF-8", "byte 14: not UTF-8",
+                "line 2: expected 2 values, got 1"]
+        for k, (conf, named, message) in enumerate(
+                zip(confs, [None] + vectors, says)):
+            path = tmp_path / f"bad{k}.conf"
+            path.write_bytes(conf)
+            capsys.readouterr()
+            assert self._train(workdir, path) == 2, message
+            err = capsys.readouterr().err
+            assert err == f"error: {named or path}: {message}\n", err
+
+    def test_dev_corpus_errors_name_the_file(self, workdir, tmp_path, capsys):
+        cycle = tmp_path / "cycle.tsv"
+        cycle.write_text("1\tw\tNN\t2\tnsubj\tO\n2\tv\tVB\t2\troot\tO\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(workdir / "model.conf"),
+                     "--train", str(workdir / "train.tsv"), "--dev", str(cycle),
+                     "--out", str(tmp_path / "x.ckpt")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {cycle}: token 2 is its own head in sentence 0\n")
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_checkpoint_vocabulary_ids_are_data_errors(self, workdir, tmp_path,
                                                        capsys):
         ckpt = load_checkpoint(workdir / "model.ckpt")

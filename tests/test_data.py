@@ -120,6 +120,24 @@ class TestParsing:
             data.parse_corpus(_write(tmp_path, text))
         assert "line 5" in str(exc.value)
 
+    @pytest.mark.parametrize("text, error, message", [
+        ("1\tonly\tthree\n", ParseError,
+         "line 1: expected 6 tab-separated columns, got 3"),
+        ("1\ta\tNN\t1\troot\tO\n", TreeValidationError,
+         "token 1 is its own head in sentence 0"),
+        (GOOD_BLOCK + "\n1\ta\tNN\t0\troot\tI-PER\n", SchemeError,
+         "sentence 1: tag 'I-PER' at position 0 may not follow the start under bioes"),
+        (b"1\tw\xff\tNN\t0\troot\tO\n", ParseError, "byte 3: not UTF-8"),
+    ], ids=["parse", "tree", "scheme", "not-utf8"])
+    def test_errors_name_the_file_and_keep_their_type(self, tmp_path, text,
+                                                      error, message):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(error) as exc:
+            data.parse_corpus(path)
+        assert type(exc.value) is error
+        assert str(exc.value) == f"{path}: {message}"
+
     def test_non_integer_head(self, tmp_path):
         with pytest.raises(ParseError):
             data.parse_corpus(_write(tmp_path, "1\ta\tNN\tx\tdep\tO\n"))
@@ -398,6 +416,23 @@ class TestVocabulary:
             name: list(m.items()) for name, m in want.items()}
 
 class TestEmbeddings:
+    @pytest.mark.parametrize("contents, message", [
+        (b"", "embedding file contains no vectors"),
+        (b"a\n", "line 1: no vector values"),
+        (b"a 1 2\nb 1\n", "line 2: expected 2 values, got 1"),
+        (b"a 1 x\n", "line 1: non-numeric vector value"),
+        (b"a 1 nan\n", "line 1: non-finite vector value"),
+        (b"a 1 2\n" * 3000 + b"b \xe9 2\n", "byte 18002: not UTF-8"),
+    ], ids=["empty", "no-values", "short", "non-numeric", "non-finite", "not-utf8"])
+    def test_every_error_names_the_file(self, tmp_path, contents, message):
+        vocab = data.build_vocab(
+            [data.Sentence(["a"], ["X"], [0], ["root"], ["O"])])
+        path = tmp_path / "emb.txt"
+        path.write_bytes(contents)
+        with pytest.raises(FormatError) as exc:
+            data.load_embeddings(path, vocab, np.random.default_rng(0))
+        assert str(exc.value) == f"{path}: {message}"
+
     def test_copies_known_rows(self, tmp_path):
         corpus = [data.Sentence(["the", "cat"], ["D", "N"], [2, 0],
                                 ["det", "root"], ["O", "O"])]

@@ -8,6 +8,7 @@ import platform
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -331,6 +332,39 @@ class TestDropout:
             assert model._dropout(x, rng) is x
         assert tape._nodes == []
         assert rng.random() == np.random.default_rng(0).random()
+
+
+def _tensors_held(obj, seen):
+    """Every Tensor reachable from ``obj`` through function closures (nested
+    functions included), lists, tuples and dicts."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, Tensor):
+        yield obj
+    elif isinstance(obj, types.FunctionType):
+        for cell in obj.__closure__ or ():
+            yield from _tensors_held(cell.cell_contents, seen)
+    elif isinstance(obj, (list, tuple, dict)):
+        for item in (obj.values() if isinstance(obj, dict) else obj):
+            yield from _tensors_held(item, seen)
+
+
+class TestTapeHoldsNoActivation:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_nodes_hold_only_leaves_and_constants(self, variant):
+        # Padded batch, dropout on: every kind of node a training step records.
+        sentences = random_instances(6, [5, 2, 4, 1, 3, 5], num_labels=3, seed=4)
+        model = SequenceTagger(tiny_config(variant=variant, dropout=0.5),
+                               build_vocab(sentences), rng=np.random.default_rng(4))
+        leaves = {id(t) for t in model.named_tensors().values()}
+        with Tape() as tape:
+            model.loss_batch(sentences, train=True, rng=np.random.default_rng(5))
+            held = [t for node in tape._nodes for t in _tensors_held(node, set())]
+        recorded = [t.data.shape for t in held
+                    if t.requires_grad and id(t) not in leaves]
+        assert recorded == []
+        assert any(id(t) in leaves for t in held)
 
 
 class TestDecoding:

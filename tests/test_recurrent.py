@@ -3,6 +3,7 @@
 import contextlib
 import threading
 import time
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -621,6 +622,37 @@ class TestKernel:
                 d[src] = grads[k]
             assert t.grad.tobytes() == (b + f).tobytes()
             assert not t.grad[padded].any() and not np.signbit(t.grad[padded]).any()
+
+    @pytest.mark.parametrize("threshold", [1 << 62, 0], ids=["inline", "concurrent"])
+    def test_a_direction_releases_its_caches_once_its_bptt_returns(self, threshold):
+        # The reverse BPTT waits (up to 10 s) for the forward one's caches to
+        # die; inline they must be dead already.
+        fwd, bwd, x, g, rng = _kernel_case(True, seed=38)
+        real, caches, dead = rc._direction, {}, []
+
+        def spy(*args):
+            bk, reverse = real(*args), args[2] is bwd
+            caches[reverse] = [weakref.ref(cell.cell_contents) for name, cell in
+                               zip(bk.__code__.co_freevars, bk.__closure__)
+                               if name in ("acts", "cells", "tanh_cells", "seq")]
+
+            def watched(grad):
+                if reverse:
+                    deadline = time.monotonic() + (10.0 if threshold == 0 else 0.0)
+                    while (any(ref() is not None for ref in caches[False])
+                           and time.monotonic() < deadline):
+                        time.sleep(0.001)
+                    dead.append([ref() is None for ref in caches[False]])
+                return bk(grad)
+            return watched
+
+        weights = ad.constant(rng.normal(size=(x.data.shape[0], 8)))
+        with mock.patch.object(rc, "_direction", spy), _concurrency(threshold):
+            with ad.Tape():
+                loss = reference.total(_run(x, g, fwd, bwd) * weights)
+            assert all(ref() is not None for ref in caches[False])
+            ad.backward(loss)
+        assert dead == [[True] * 4]
 
     def test_final_state_gradients_match_finite_differences(self):
         fwd, bwd, x, _, rng = _kernel_case(False, seed=23)
