@@ -8,9 +8,9 @@ START (id L) and STOP (id L+1). A sequence y of length n is scored as
 The learnable matrix is finite everywhere; structural impossibilities
 (entering START, leaving STOP, optional scheme constraints) live in a
 constant additive mask of 0 / -inf entries, so SGD and L2 never touch an
-infinity. All lattice math runs in log space on float64, where a -inf
-score is an absent path: it has weight 0 in the forward algorithm and
-gets an exact zero gradient.
+infinity. Viterbi runs in log space, log Z in scaled probability space;
+in both a -inf score is an absent path: it has weight 0 in the forward
+algorithm and gets an exact zero gradient.
 """
 
 from __future__ import annotations
@@ -91,20 +91,6 @@ def emissions_from_hidden(h, crf):
     return matmul(h, crf.emit_w) + crf.emit_b
 
 
-def _logsumexp(x):
-    """Stable log-sum-exp over axis 1 and the softmax weights along it.
-
-    -inf entries are absent terms; an all -inf slice gives -inf, weights 0.
-    """
-    m = np.max(x, axis=1, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(x - m)
-    s = np.sum(e, axis=1, keepdims=True)
-    with np.errstate(divide="ignore"):
-        out = np.log(s) + m
-    return np.squeeze(out, axis=1), e / np.where(s > 0.0, s, 1.0)
-
-
 def _checked_lengths(lengths, shape):
     """``lengths`` as an array; DimensionError unless it is (B,) and each
     length is in [1, n_max], for emissions of shape (B, n_max, L)."""
@@ -119,33 +105,47 @@ def _checked_lengths(lengths, shape):
 def log_partition_batch(em, lengths, t):
     """Forward algorithm on (B, n_max, L) emissions: ((B,) log Z, adjoint).
 
-    alpha is carried unchanged past each sentence's length. ``adjoint(g)``
-    maps d/d log Z to (d em, d t) by forward-backward, walking the steps in
-    reverse through each step's softmax over the previous label: g times
-    the label marginals, and the expected transition counts, START row and
-    STOP column included.
+    Scaled forward-backward (Rabiner 1989, section V) on exp(t - max finite
+    t) and exp(em - each position's max), each step divided by its sum;
+    padded steps are masked out at the end. ``adjoint(g)`` maps d/d log Z to
+    g times the label marginals and the expected transition counts, START
+    row and STOP column included. No allowed path gives log Z = -inf and
+    zero gradients; so does a step whose weights all underflow float64,
+    about 745 below the largest transition net of emissions.
     """
     batch, n_max, L = em.shape
-    live = np.arange(n_max) < np.asarray(lengths)[:, None]
-    alpha = em[:, 0] + t[L, :L]
-    weights = np.zeros((batch, n_max, L, L))  # P(y[s-1] = i | y[s] = j)
-    for s in range(1, n_max):
-        lse, weights[:, s] = _logsumexp(alpha[:, :, None] + t[:L, :L])
-        alpha = np.where(live[:, s, None], lse + em[:, s], alpha)
-    log_z, stop_weights = _logsumexp(alpha + t[:L, L + 1])
+    last = (np.arange(batch), np.asarray(lengths) - 1)
+    live = np.arange(n_max) <= last[1][:, None]
+    m = np.max(t, where=np.isfinite(t), initial=-np.inf)
+    w = np.exp(t - m)  # a -inf transition is an exact 0
+    inner, stop = w[:L, :L], w[:L, L + 1]
+    top = em.max(axis=2)
+    p = np.exp(em - top[:, :, None])
+    alpha, sums = np.empty_like(p), np.empty((batch, n_max))
+    arrive, tiny = w[L, :L], np.finfo(float).tiny
+    for s in range(n_max):  # alpha[:, s] is P(y_s | em[:, :s + 1])
+        a = arrive * p[:, s]
+        sums[:, s] = a.sum(axis=1, initial=tiny)  # never 0, even with no path
+        alpha[:, s] = a / sums[:, s, None]
+        arrive = alpha[:, s] @ inner
+    stop_sum = alpha[last] @ stop
+    with np.errstate(divide="ignore"):  # no allowed path: log 0
+        log_z = (last[1] + 2) * m + np.log(stop_sum) + np.where(
+            live, top + np.log(sums), 0.0).sum(axis=1)
+    stop_sum[stop_sum == 0.0] = np.inf  # no allowed path: a zero backward
+    p /= sums[:, :, None]  # the backward's steps
 
     def adjoint(g):
-        d_trans = np.zeros((L + 2, L + 2))
-        d_alpha = g[:, None] * stop_weights
-        d_trans[:L, L + 1] = d_alpha.sum(axis=0)
-        d_em = np.zeros((batch, n_max, L))
+        beta = np.zeros((batch, n_max, L))  # g times the scaled backward
+        beta[last] = (g / stop_sum)[:, None] * stop
         for s in range(n_max - 1, 0, -1):
-            d_em[:, s] = np.where(live[:, s, None], d_alpha, 0.0)
-            d_alpha = np.where(live[:, s, None], 0.0, d_alpha) + np.matmul(
-                weights[:, s], d_em[:, s, :, None])[:, :, 0]
-        d_em[:, 0] = d_alpha
-        d_trans[L, :L] = d_alpha.sum(axis=0)
-        d_trans[:L, :L] = np.einsum("bsij,bsj->ij", weights, d_em)
+            beta[:, s - 1] += (p[:, s] * beta[:, s]) @ inner.T
+        d_em = alpha * beta
+        d_trans = np.zeros((L + 2, L + 2))
+        d_trans[L, :L] = d_em[:, 0].sum(axis=0)
+        d_trans[:L, L + 1] = d_em[last].sum(axis=0)
+        d_trans[:L, :L] = inner * (alpha[:, :-1].reshape(-1, L).T
+                                   @ (p[:, 1:] * beta[:, 1:]).reshape(-1, L))
         return d_em, d_trans
 
     return log_z, adjoint
@@ -175,13 +175,13 @@ def nll_batch(emissions_flat, lengths, trans, gold_ids):
         raise ContractError(f"label id out of range in sentence {bad[0]}")
     log_z, adjoint = log_partition_batch(em, lengths, trans.data)
     # The gold path in sentence-major order: y_s at each live position, and
-    # START -> y_0, y_{s-1} -> y_s, y_{n-1} -> STOP at pair columns s <= n.
-    y = np.where(live, gold_ids, 0)
-    em_at = np.nonzero(live) + (y[live],)
-    steps = np.arange(n_max + 1)
-    pairs = steps <= lengths[:, None]
-    nxt = np.where(steps == lengths[:, None], L + 1, np.pad(y, ((0, 0), (0, 1))))
-    tr_at = (np.pad(y, ((0, 0), (1, 0)), constant_values=L)[pairs], nxt[pairs])
+    # the bigrams of START, y_0 .. y_{n-1}, STOP .. STOP that leave no STOP.
+    em_at = np.nonzero(live) + (gold_ids[live],)
+    path = np.full((batch, n_max + 2), L + 1)
+    path[:, 0] = L
+    path[:, 1:-1][live] = gold_ids[live]
+    pairs = path[:, :-1] != L + 1
+    tr_at = (path[:, :-1][pairs], path[:, 1:][pairs])
     gold = em[em_at].sum() + trans.data[tr_at].sum()
     loss = (log_z.sum() - gold) * (1.0 / batch)
 
@@ -189,9 +189,8 @@ def nll_batch(emissions_flat, lengths, trans, gold_ids):
         scale = g * (1.0 / batch)
         d_em, d_trans = adjoint(np.full(batch, scale))
         d_em[em_at] -= scale
-        gold_counts = np.zeros_like(d_trans)  # repeated bigrams add up here
-        np.add.at(gold_counts, tr_at, -scale)
-        return d_em.reshape(batch * n_max, L), d_trans + gold_counts
+        np.add.at(d_trans, tr_at, -scale)  # repeated bigrams add up
+        return d_em.reshape(batch * n_max, L), d_trans
 
     return record(Tensor(loss), (emissions_flat, trans), bk)
 

@@ -411,8 +411,11 @@ def load_embeddings(path, vocab, rng):
     line ``count D`` (two integers) is skipped. Vocabulary words absent
     from the file keep their random initialization, drawn first so the
     result is reproducible for a given rng. The PAD row is zero. Returns a
-    (num_words, D) float64 matrix. Every FormatError names the file.
+    (num_words, D) float64 matrix. Every FormatError names the file. Every
+    line is checked, but only a vocabulary word's vector, or that of its
+    lowercase form, is kept; a word's last line wins.
     """
+    wanted = set(vocab.words) | {word.lower() for word in vocab.words}
     vectors = {}
     dim = None
     try:
@@ -433,11 +436,13 @@ def load_embeddings(path, vocab, rng):
                     raise FormatError(
                         f"{where}: expected {dim} values, got {len(values)}")
                 try:
-                    vectors[token] = np.array([float(v) for v in values])
+                    vec = np.array([float(v) for v in values])
                 except ValueError:
                     raise FormatError(f"{where}: non-numeric vector value") from None
-                if not np.isfinite(vectors[token]).all():
+                if not np.isfinite(vec).all():
                     raise FormatError(f"{where}: non-finite vector value")
+                if token in wanted:
+                    vectors[token] = vec
     except UnicodeDecodeError:  # reread whole for the byte's offset in the file
         read_lines(path, FormatError)
         raise

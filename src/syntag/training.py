@@ -258,9 +258,17 @@ def load_checkpoint(path):
 
     A bad CRC-32, a truncated file, a repeated, compressed or stray member
     and a ``.npy`` header that does not describe the bytes after it each
-    raise FormatError naming the member. Tensors are read-only views of
-    their members' bytes; ``build_model`` copies them into the model.
+    raise FormatError naming the member. Every FormatError starts with the
+    path, as ``data.parse_corpus``'s errors do. Tensors are read-only views
+    of their members' bytes; ``build_model`` copies them into the model.
     """
+    try:
+        return _read_checkpoint(path)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _read_checkpoint(path):
     with open(path, "rb") as fh:
         head = fh.read(6)
         if head[:4] == b"SYNL":  # the hand-rolled container of versions 1 and 2

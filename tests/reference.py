@@ -9,6 +9,10 @@ the same jobs one sentence or one step at a time, from loops and tape ops.
 * ``log_partition_batch``, ``log_partition``, ``nll``: the CRF forward
   algorithm as a tape op, and the loss, read through a plain (lattice,
   transitions, labels) call.
+* ``log_space_partition``: the forward algorithm in log space, a
+  log-sum-exp per step, with its adjoint from each step's softmax; checks
+  the log Z and adjoint of ``crf.log_partition_batch``, which runs in
+  scaled probability space.
 * ``enumerate_scores``, ``score_sequence``, ``transition_counts``,
   ``brute_force``: every label sequence of a small lattice; logZ, scores,
   argmax, marginals and expected transition counts from it check the
@@ -113,6 +117,53 @@ def log_partition_batch(emissions_flat, lengths, trans):
         return d_em.reshape(shape), d_trans
 
     return record(Tensor(log_z), (emissions_flat, trans), bk)
+
+
+def _logsumexp(x):
+    """Stable log-sum-exp over axis 1 and the softmax weights along it.
+
+    -inf entries are absent terms; an all -inf slice gives -inf, weights 0.
+    """
+    m = np.max(x, axis=1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(x - m)
+    s = np.sum(e, axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        out = np.log(s) + m
+    return np.squeeze(out, axis=1), e / np.where(s > 0.0, s, 1.0)
+
+
+def log_space_partition(em, lengths, t):
+    """``crf.log_partition_batch`` in log space: ((B,) log Z, adjoint).
+
+    alpha is carried unchanged past each sentence's length. ``adjoint(g)``
+    walks the steps in reverse through each step's softmax over the
+    previous label.
+    """
+    batch, n_max, L = em.shape
+    live = np.arange(n_max) < np.asarray(lengths)[:, None]
+    alpha = em[:, 0] + t[L, :L]
+    weights = np.zeros((batch, n_max, L, L))  # P(y[s-1] = i | y[s] = j)
+    for s in range(1, n_max):
+        lse, weights[:, s] = _logsumexp(alpha[:, :, None] + t[:L, :L])
+        alpha = np.where(live[:, s, None], lse + em[:, s], alpha)
+    log_z, stop_weights = _logsumexp(alpha + t[:L, L + 1])
+
+    def adjoint(g):
+        d_trans = np.zeros((L + 2, L + 2))
+        d_alpha = g[:, None] * stop_weights
+        d_trans[:L, L + 1] = d_alpha.sum(axis=0)
+        d_em = np.zeros((batch, n_max, L))
+        for s in range(n_max - 1, 0, -1):
+            d_em[:, s] = np.where(live[:, s, None], d_alpha, 0.0)
+            d_alpha = np.where(live[:, s, None], 0.0, d_alpha) + np.matmul(
+                weights[:, s], d_em[:, s, :, None])[:, :, 0]
+        d_em[:, 0] = d_alpha
+        d_trans[L, :L] = d_alpha.sum(axis=0)
+        d_trans[:L, :L] = np.einsum("bsij,bsj->ij", weights, d_em)
+        return d_em, d_trans
+
+    return log_z, adjoint
 
 
 def log_partition(lattice, trans):

@@ -331,8 +331,19 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["eval", "--model", str(tmp_path / "bad0.ckpt"),
                      "--data", str(workdir / "dev.tsv")]) == 2
-        assert "error: bad checkpoint metadata: config.hidden is '4'" in (
-            capsys.readouterr().err)
+        assert (f"error: {tmp_path / 'bad0.ckpt'}: bad checkpoint metadata: "
+                "config.hidden is '4'") in capsys.readouterr().err
+
+    def test_truncated_checkpoint_is_named_data_error(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "cut.ckpt"
+        bad.write_bytes((workdir / "model.ckpt").read_bytes()[:-100])
+        capsys.readouterr()
+        assert main(["predict", "--model", str(bad), "--data",
+                     str(workdir / "dev.tsv"), "--out", str(tmp_path / "p.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: bad checkpoint zip directory: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "p.tsv").exists()
 
     def _train(self, workdir, config_path):
         return main(["train", "--config", str(config_path),
@@ -400,7 +411,7 @@ class TestExitCodes:
             capsys.readouterr()
             assert main(["eval", "--model", str(path),
                          "--data", str(workdir / "dev.tsv")]) == 2
-            assert "error: vocabulary map 'labels' ids are not exactly" in (
+            assert f"error: {path}: vocabulary map 'labels' ids are not exactly" in (
                 capsys.readouterr().err)
 
     def test_too_small_corpus_for_split(self, workdir, tmp_path):

@@ -456,6 +456,81 @@ class TestForwardBackwardNode:
                                    atol=1e-10)
 
 
+def _bioes_names(types):
+    return ["O"] + [f"{kind}-{name}" for name in "XY"[:types] for kind in "BIES"]
+
+
+class TestScaledForwardBackward:
+    """The scaled forward-backward against the log-space pass, and its limits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_log_space_pass(self, data):
+        constrained = data.draw(st.booleans(), label="constrained")
+        L = 4 * data.draw(st.integers(1, 2), label="types") + 1 if constrained \
+            else data.draw(st.integers(1, 9), label="L")
+        lengths = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=5),
+                            label="lengths")
+        n_max = min(12, max(lengths) + data.draw(st.integers(0, 2), label="extra"))
+        em_scale = data.draw(st.floats(0, 100), label="em scale")
+        t_scale = data.draw(st.floats(0, 50), label="t scale")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        em = rng.uniform(-em_scale, em_scale, (len(lengths), n_max, L))
+        p = crf.CrfParams(L, 4, rng, bioes_labels=_bioes_names(L // 4)
+                          if constrained else None)
+        p.transitions.data[...] = rng.uniform(-t_scale, t_scale, (L + 2, L + 2))
+        t = p.effective_transitions().data
+        g = rng.uniform(-2, 2, len(lengths))
+        log_z, adjoint = crf.log_partition_batch(em, lengths, t)
+        want_z, want_adjoint = reference.log_space_partition(em, lengths, t)
+        # Probability space carries log Z to about n ulps of 1, not of log Z,
+        # so a log Z that cancels to near 0 is held to 1e-12 absolute.
+        np.testing.assert_allclose(log_z, want_z, rtol=1e-12, atol=1e-12)
+        for got, want in zip(adjoint(g), want_adjoint(g)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-10)
+
+    def test_no_allowed_path_gives_minus_inf_and_zero_gradients(self):
+        # B-X must be followed by E-X, and neither may stand alone: lengths
+        # 1 and 3 have no path, length 2 has exactly B-X E-X.
+        p = crf.CrfParams(2, 4, np.random.default_rng(18),
+                          bioes_labels=["B-X", "E-X"])
+        t = p.effective_transitions().data
+        em = np.random.default_rng(19).uniform(-2, 2, (3, 4, 2))
+        g = np.array([1.0, 0.5, 2.0])
+        for partition in (reference.log_space_partition, crf.log_partition_batch):
+            log_z, adjoint = partition(em, [1, 2, 3], t)
+            d_em, d_trans = adjoint(g)
+            assert log_z[0] == log_z[2] == -np.inf
+            np.testing.assert_allclose(log_z[1], em[1, 0, 0] + em[1, 1, 1]
+                                       + t[2, 0] + t[0, 1] + t[1, 3], rtol=1e-12)
+            assert np.all(d_em[[0, 2]] == 0.0)
+            np.testing.assert_allclose(d_em[1, :2], [[0.5, 0.0], [0.0, 0.5]],
+                                       rtol=1e-12)
+            counts = np.zeros((4, 4))
+            counts[[2, 0, 1], [0, 1, 3]] = 0.5  # START -> B-X -> E-X -> STOP
+            np.testing.assert_allclose(d_trans, counts, rtol=0, atol=1e-15)
+            log_z, adjoint = partition(em[[0, 2]], [1, 3], t)
+            assert np.all(log_z == -np.inf)
+            d_em, d_trans = adjoint(g[[0, 2]])
+            assert np.all(d_em == 0.0) and np.all(d_trans == 0.0)
+
+    def test_transitions_beyond_float64_range_give_non_finite_loss(self):
+        # Every transition but START -> 0 sits 800 below it: exp(-800) is 0
+        # in float64, so each sentence loses every path. The log-space pass
+        # still finds a finite log Z; the loss must not pass for one.
+        rng = np.random.default_rng(20)
+        p = crf.CrfParams(3, 4, rng)
+        p.transitions.data[p.start, 0] = 800.0
+        trans = p.effective_transitions()
+        em = rng.uniform(-1, 1, (2 * 4, 3))
+        loss = crf.nll_batch(ad.constant(em), [4, 1], trans,
+                             np.zeros((2, 4), dtype=int))
+        assert not np.isfinite(loss.item())
+        want, _ = reference.log_space_partition(em.reshape(2, 4, 3), [4, 1],
+                                                trans.data)
+        assert np.all(np.isfinite(want))
+
+
 class TestSchemeConstraints:
     def test_constrained_params_block_invalid_bigrams(self):
         rng = np.random.default_rng(12)

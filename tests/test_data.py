@@ -1,6 +1,7 @@
 """Tests for corpus parsing, tree validation, label schemes and vocabularies."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -442,6 +443,32 @@ class TestEmbeddings:
         assert m.shape == (len(vocab.words), 2)
         np.testing.assert_allclose(m[vocab.word_id("the")], [0.1, 0.2])
         np.testing.assert_array_equal(m[0], 0.0)  # PAD row
+
+    def test_lowercase_fallback_and_last_line_wins(self, tmp_path):
+        corpus = [data.Sentence(["The", "cat"], ["D", "N"], [2, 0],
+                                ["det", "root"], ["O", "O"])]
+        vocab = data.build_vocab(corpus)
+        path = _write(tmp_path, "the 1 1\ncat 2 2\nthe 3 3\nCat 4 4\ncat 5 5\n",
+                      "emb.txt")
+        m = data.load_embeddings(path, vocab, np.random.default_rng(0))
+        np.testing.assert_array_equal(m[vocab.word_id("The")], [3, 3])
+        np.testing.assert_array_equal(m[vocab.word_id("cat")], [5, 5])
+
+    def test_memory_follows_the_vocabulary_not_the_file(self, tmp_path):
+        corpus = [data.Sentence(["a"], ["X"], [0], ["root"], ["O"])]
+        vocab = data.build_vocab(corpus)
+        # 20,000 rows, none of them the vocabulary's: keeping every row's
+        # vector until the end peaks above 4 MB traced.
+        path = _write(tmp_path, "".join(f"w{i} 0.5 1 2 3 4\n" for i in range(20000)),
+                      "emb.txt")
+        tracemalloc.start()
+        try:
+            m = data.load_embeddings(path, vocab, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.shape == (len(vocab.words), 5)
+        assert peak < 2 * 2**20, peak
 
     def test_missing_token_initialized_reproducibly(self, tmp_path):
         corpus = [data.Sentence(["cat"], ["N"], [0], ["root"], ["O"])]

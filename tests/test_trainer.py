@@ -466,6 +466,26 @@ class TestTrainLoop:
         assert info.value.epoch == 1
         assert info.value.batch == 2
 
+    def test_transitions_beyond_float64_range_stop_training(self, monkeypatch):
+        """A START transition 800 above every other one leaves the CRF's
+        scaled forward no path in float64: the loss is not finite, and
+        training stops where a finite, wrong loss would have gone on."""
+        train_c, dev_c = self.make_corpus()
+        calls = {"count": 0}
+        orig = SequenceTagger.loss_batch
+
+        def lifted(self, sentences, train=False, rng=None):
+            if train:
+                calls["count"] += 1
+                if calls["count"] == 3:
+                    self.crf.transitions.data[self.crf.start, 0] = 800.0
+            return orig(self, sentences, train=train, rng=rng)
+
+        monkeypatch.setattr(SequenceTagger, "loss_batch", lifted)
+        with pytest.raises(NumericalError, match="non-finite loss -inf") as info:
+            train(small_config(epochs=2), train_c, dev_c)
+        assert (info.value.epoch, info.value.batch) == (1, 2)
+
     def test_non_finite_gradient_raises_with_location(self, monkeypatch):
         train_c, dev_c = self.make_corpus()
         seen = {"count": 0}
