@@ -133,7 +133,7 @@ def log_partition_batch(em, lengths, t):
         log_z = (last[1] + 2) * m + np.log(stop_sum) + np.where(
             live, top + np.log(sums), 0.0).sum(axis=1)
     stop_sum[stop_sum == 0.0] = np.inf  # no allowed path: a zero backward
-    p /= sums[:, :, None]  # the backward's steps
+    p /= sums[:, :, None]  # each step's weights over its sum, for the backward
 
     def adjoint(g):
         beta = np.zeros((batch, n_max, L))  # g times the scaled backward

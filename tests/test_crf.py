@@ -456,19 +456,16 @@ class TestForwardBackwardNode:
                                    atol=1e-10)
 
 
-def _bioes_names(types):
-    return ["O"] + [f"{kind}-{name}" for name in "XY"[:types] for kind in "BIES"]
-
-
 class TestScaledForwardBackward:
     """The scaled forward-backward against the log-space pass, and its limits."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_matches_log_space_pass(self, data):
-        constrained = data.draw(st.booleans(), label="constrained")
-        L = 4 * data.draw(st.integers(1, 2), label="types") + 1 if constrained \
-            else data.draw(st.integers(1, 9), label="L")
+        types = data.draw(st.integers(0, 2), label="entity types")  # 0: unconstrained
+        names = ["O"] + [f"{kind}-{name}" for name in "XY"[:types]
+                         for kind in "BIES"] if types else None
+        L = len(names) if types else data.draw(st.integers(1, 9), label="L")
         lengths = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=5),
                             label="lengths")
         n_max = min(12, max(lengths) + data.draw(st.integers(0, 2), label="extra"))
@@ -476,8 +473,7 @@ class TestScaledForwardBackward:
         t_scale = data.draw(st.floats(0, 50), label="t scale")
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
         em = rng.uniform(-em_scale, em_scale, (len(lengths), n_max, L))
-        p = crf.CrfParams(L, 4, rng, bioes_labels=_bioes_names(L // 4)
-                          if constrained else None)
+        p = crf.CrfParams(L, 4, rng, bioes_labels=names)
         p.transitions.data[...] = rng.uniform(-t_scale, t_scale, (L + 2, L + 2))
         t = p.effective_transitions().data
         g = rng.uniform(-2, 2, len(lengths))
