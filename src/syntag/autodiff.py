@@ -10,11 +10,13 @@ this package. Design points:
   bookkeeping cost.
 * The tape is rebuilt on every step, so control flow in model code is plain
   Python (loops over timesteps of varying length are fine).
-* relu has derivative 0 at exactly 0.
 * A tape node holds a gradient slot for its output and one per input (a
   leaf or a constant input is itself), never a recorded output, so an
   array lives only while forward code or a backward closure reads it.
   Closures capture only the arrays and shapes they read.
+* The ops here are the ones model code composes; each layer with a
+  hand-written backward (the GCN, the LSTM kernel, the CRF loss) records
+  itself through :func:`record` as one node.
 * :func:`backward` drops each node once it has passed its gradient on, so
   afterwards only leaves keep ``.grad``; the tape keeps its length.
 
@@ -23,7 +25,7 @@ A minimal example; the scalar loss is an op of its own, built on ``record``::
     w = Tensor(np.ones((3, 2)), requires_grad=True)
     x = constant(rng.normal(size=(2, 4)))
     with Tape():
-        y = relu(matmul(w, x))
+        y = matmul(w, x) * 2.0
         loss = record(Tensor(y.data.sum()), (y,), lambda g: (np.full((3, 4), g),))
     backward(loss)
     # w.grad now holds d loss / d w
@@ -44,8 +46,6 @@ __all__ = [
     "add",
     "mul",
     "matmul",
-    "bmm_const",
-    "relu",
     "concat",
     "rows",
     "record",
@@ -258,41 +258,6 @@ def matmul(a, b):
         return g @ b_data.T, a_data.T @ g
 
     return record(out, (a, b), bk)
-
-
-def bmm_const(mats, a):
-    """Per-sentence product ``mats[b] @ a_b`` where ``mats`` is a constant ndarray.
-
-    mats has shape (B, n, m); a holds B blocks of m rows, (B * m, k)
-    sentence-major, and the result B blocks of n rows, (B * n, k). Used for
-    aggregation with per-sentence adjacency matrices; only ``a`` carries
-    gradients, the matrices are data.
-    """
-    mats = np.asarray(mats, dtype=np.float64)
-    if (mats.ndim != 3 or a.data.ndim != 2
-            or a.data.shape[0] != mats.shape[0] * mats.shape[2]):
-        raise DimensionError(
-            f"bmm_const: a {mats.shape} stack does not fit rows {a.data.shape}")
-    (batch, n, m), k = mats.shape, a.data.shape[1]
-    out = Tensor(np.matmul(mats, a.data.reshape(batch, m, k)).reshape(batch * n, k))
-    mats_t = mats.swapaxes(1, 2)
-
-    def bk(g):
-        return (np.matmul(mats_t, g.reshape(batch, n, k)).reshape(batch * m, k),)
-
-    return record(out, (a,), bk)
-
-
-def relu(a):
-    out = Tensor(np.maximum(a.data, 0.0))
-    if not recording((a,)):
-        return out
-    positive = a.data > 0.0  # derivative at exactly 0 is defined as 0
-
-    def bk(g):
-        return (g * positive,)
-
-    return record(out, (a,), bk)
 
 
 def concat(tensors, axis=0):

@@ -301,10 +301,8 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
-    except SyntagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SyntagError, OSError, MemoryError) as exc:
+        # MemoryError: a config or checkpoint sized past what can be allocated
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -195,49 +195,15 @@ def nll_batch(emissions_flat, lengths, trans, gold_ids):
     return record(Tensor(loss), (emissions_flat, trans), bk)
 
 
-def _as_arrays(lattice, trans):
-    em = lattice.emissions.data if isinstance(lattice.emissions, Tensor) \
-        else np.asarray(lattice.emissions)
-    t = trans.data if isinstance(trans, Tensor) else np.asarray(trans)
-    return em, t
-
-
-def viterbi(lattice, trans):
-    """Max-score sequence and its score.
-
-    Ties are broken toward the lexicographically smallest label-id sequence:
-    suffix-best scores are computed right to left, then labels are chosen
-    greedily left to right taking the smallest id that attains the stepwise
-    maximum.
-    """
-    em, t = _as_arrays(lattice, trans)
-    n, L = em.shape
-    inner = t[:L, :L]
-    start_row = t[L, :L]
-    stop_col = t[:L, L + 1]
-    beta = np.empty((n, L))
-    beta[n - 1] = stop_col
-    for s in range(n - 2, -1, -1):
-        beta[s] = np.max(inner + em[s + 1] + beta[s + 1], axis=1)
-    ys = []
-    prefix = 0.0
-    prev = None
-    for s in range(n):
-        arrival = start_row if s == 0 else inner[prev]
-        v = prefix + arrival + em[s] + beta[s]
-        j = int(np.argmax(v == v.max()))
-        ys.append(j)
-        prefix = prefix + arrival[j] + em[s, j]
-        prev = j
-    return ys, float(prefix + stop_col[prev])
-
-
 def viterbi_batch(em, lengths, trans):
-    """``viterbi`` over a padded batch: (id list per sentence, score array).
+    """Max-score sequences of a padded batch: (id list per sentence, scores).
 
     em is (B, n_max, L); positions at or beyond a sentence's length are
-    ignored. Every element goes through the same operations in the same
-    order as in ``viterbi``, so paths, scores and tie-breaks are identical.
+    ignored. Ties are broken toward the lexicographically smallest label-id
+    sequence: suffix-best scores are computed right to left, then labels are
+    chosen greedily left to right taking the smallest id that attains the
+    stepwise maximum. A sentence's path and score do not depend on the
+    others in its batch.
     """
     em = np.asarray(em)
     t = trans.data if isinstance(trans, Tensor) else np.asarray(trans)
@@ -264,6 +230,12 @@ def viterbi_batch(em, lengths, trans):
         prev = np.where(live, j, prev)
     paths = [path[b, :n].tolist() for b, n in enumerate(lengths)]
     return paths, prefix + stop_col[prev]
+
+
+def viterbi(lattice, trans):
+    """``viterbi_batch`` on one sentence: (label ids, score)."""
+    paths, scores = viterbi_batch(lattice.emissions.data[None], [lattice.n], trans)
+    return paths[0], float(scores[0])
 
 
 __all__ = [

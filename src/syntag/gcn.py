@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import bmm_const, matmul, relu
+from .autodiff import Tensor, record, recording
 from .errors import DimensionError
 from .initializers import glorot, zeros
 
@@ -60,15 +60,46 @@ class GcnParams:
 
 
 def encode_batch(g0_flat, adj_norm, params, self_only=False):
-    """L layers over a padded batch.
+    """L layers over a padded batch, recorded as one tape node.
 
     g0_flat is (B * n_max, D); adj_norm is the (B, n_max, n_max) stack from
-    batch_normalized_adjacency. Returns (B * n_max, H).
+    batch_normalized_adjacency. Returns (B * n_max, H). The node's inputs are
+    g0 and each layer's weight and bias. Its backward keeps each layer's
+    input and a mask of its positive pre-activations; per layer in reverse
+    it masks the gradient (so relu has derivative 0 at exactly 0), sums it
+    into the bias, aggregates it back with the transposed adjacency, and
+    forms the weight's and the input's gradients.
     """
-    g = g0_flat
-    for w, b in zip(params.weights, params.biases):
-        msg = matmul(g, w)
+    batch, n_max = adj_norm.shape[:2]
+    if adj_norm.shape != (batch, n_max, n_max) or g0_flat.data.ndim != 2 \
+            or g0_flat.data.shape[0] != batch * n_max:
+        raise DimensionError(f"gcn: a {adj_norm.shape} adjacency stack does "
+                             f"not fit rows {g0_flat.data.shape}")
+    layers = list(zip(params.weights, params.biases))
+    inputs = (g0_flat, *(t for layer in layers for t in layer))
+    tracked = recording(inputs)
+    g, kept = g0_flat.data, []
+    for w, b in layers:
+        msg = g @ w.data
         if not self_only:
-            msg = bmm_const(adj_norm, msg)
-        g = relu(msg + b)
-    return g
+            msg = np.matmul(adj_norm, msg.reshape(batch, n_max, -1)).reshape(msg.shape)
+        z = msg + b.data
+        if tracked:
+            kept.append((g, w.data, z > 0.0))
+        g = np.maximum(z, 0.0)
+    if not tracked:
+        return Tensor(g)
+    adj_t = adj_norm.swapaxes(1, 2)
+
+    def bk(grad):
+        grads = []
+        for g_in, w, positive in reversed(kept):
+            d = grad * positive
+            db = d.sum(axis=0)
+            if not self_only:
+                d = np.matmul(adj_t, d.reshape(batch, n_max, -1)).reshape(d.shape)
+            grads[:0] = [g_in.T @ d, db]
+            grad = d @ w.T
+        return (grad, *grads)
+
+    return record(Tensor(g), inputs, bk)

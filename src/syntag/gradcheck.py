@@ -3,7 +3,8 @@
 The core utility perturbs every parameter element with a central difference
 and compares against the analytic gradient from one backward pass. On top of
 that sits a model-level suite that builds small random tagging instances for
-each model variant and checks the full loss end to end.
+each model variant and checks the full loss end to end. Both run with
+fixed settings, so the tests and ``syntag gradcheck`` check the same thing.
 """
 
 from __future__ import annotations
@@ -54,7 +55,10 @@ class GradCheckReport:
         return max(self.per_param, key=self.per_param.get)
 
 
-def check_gradients(loss_fn, params, step=1e-5, floor=1e-3):
+STEP, FLOOR = 1e-5, 1e-3
+
+
+def check_gradients(loss_fn, params):
     """Compare analytic gradients of ``loss_fn`` against central differences.
 
     loss_fn: () -> Tensor scalar. It must be deterministic and must read the
@@ -62,7 +66,9 @@ def check_gradients(loss_fn, params, step=1e-5, floor=1e-3):
     params: dict name -> Tensor with requires_grad=True.
 
     Returns a GradCheckReport. The analytic pass runs once; the numeric pass
-    runs 2 * total_parameter_count forward evaluations with no tape active.
+    runs 2 * total_parameter_count forward evaluations with no tape active,
+    each a step of ``STEP``; a gradient smaller than ``FLOOR`` is compared
+    by its absolute error.
     """
     t0 = time.time()
     clear_grads(params)
@@ -80,13 +86,13 @@ def check_gradients(loss_fn, params, step=1e-5, floor=1e-3):
         numeric = np.zeros_like(flat)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + STEP
             up = loss_fn().item()
-            flat[i] = orig - step
+            flat[i] = orig - STEP
             down = loss_fn().item()
             flat[i] = orig
-            numeric[i] = (up - down) / (2.0 * step)
-        err = relative_errors(analytic[name].ravel(), numeric, floor)
+            numeric[i] = (up - down) / (2.0 * STEP)
+        err = relative_errors(analytic[name].ravel(), numeric, FLOOR)
         report.per_param[name] = float(err.max()) if err.size else 0.0
     report.max_rel_err = max(report.per_param.values()) if report.per_param else 0.0
     report.seconds = time.time() - t0
@@ -123,20 +129,20 @@ def random_instances(count, length, num_labels, seed):
     return sentences
 
 
-def check_model_variant(variant, seed=0, count=5, length=3, hidden=8, step=1e-5):
+def check_model_variant(variant, seed=0):
     """Gradient-check the full training loss of one model variant.
 
-    Builds ``count`` random sentences, a tiny model (hidden size ``hidden``,
-    small embedding tables), and runs check_gradients on the mean
-    negative log likelihood over the batch with dropout disabled. Sentence
-    i has ``(length, 1, (length + 1) // 2)[i % 3]`` tokens: a padded batch.
+    Builds five random sentences of 3, 1, 2, 3 and 1 tokens (a padded
+    batch), a tiny model (hidden size 8, small embedding tables), and runs
+    check_gradients on the mean negative log likelihood over the batch with
+    dropout disabled.
     """
-    lengths = [(length, 1, (length + 1) // 2)[i % 3] for i in range(count)]
-    sentences = random_instances(count, lengths, num_labels=2, seed=seed)
+    lengths = [3, 1, 2, 3, 1]
+    sentences = random_instances(len(lengths), lengths, num_labels=2, seed=seed)
     vocab = build_vocab(sentences, min_count=1)
     config = ModelConfig(
         variant=variant,
-        hidden=hidden,
+        hidden=8,
         gcn_layers=2,
         word_dim=5,
         char_dim=3,
@@ -151,4 +157,4 @@ def check_model_variant(variant, seed=0, count=5, length=3, hidden=8, step=1e-5)
     def loss_fn():
         return model.loss_batch(sentences, train=False)
 
-    return check_gradients(loss_fn, model.parameters(), step=step)
+    return check_gradients(loss_fn, model.parameters())

@@ -4,8 +4,9 @@ The package runs packed or padded batches through fused kernels; these do
 the same jobs one sentence or one step at a time, from loops and tape ops.
 
 * ``build_adjacency``, ``gcn_layer``, ``encode``: the GCN over one sentence,
-  one layer at a time; check ``gcn.batch_normalized_adjacency`` and
-  ``gcn.encode_batch``.
+  one layer at a time from ``matmul``, ``+`` and ``relu`` tape ops; check
+  ``gcn.batch_normalized_adjacency`` and the outputs and gradients of
+  ``gcn.encode_batch``, one fused tape node over a padded batch.
 * ``log_partition_batch``, ``log_partition``, ``nll``: the CRF forward
   algorithm as a tape op, and the loss, read through a plain (lattice,
   transitions, labels) call.
@@ -16,11 +17,11 @@ the same jobs one sentence or one step at a time, from loops and tape ops.
 * ``enumerate_scores``, ``score_sequence``, ``transition_counts``,
   ``brute_force``: every label sequence of a small lattice; logZ, scores,
   argmax, marginals and expected transition counts from it check the
-  forward algorithm, the loss and its gradient, ``viterbi`` and
-  ``viterbi_batch``.
-* ``total``, ``sigmoid``, ``tanh``: tape ops on ``autodiff.record``, checked
-  by finite differences; ``total`` makes the tests' scalar losses, the
-  other two feed the cell below.
+  forward algorithm, the loss and its gradient, and ``viterbi_batch``.
+* ``total``, ``sigmoid``, ``tanh``, ``relu``: tape ops on
+  ``autodiff.record``, checked by finite differences; ``total`` makes the
+  tests' scalar losses, ``sigmoid`` and ``tanh`` feed the cell below, and
+  ``relu`` the GCN layers above.
 * ``step``, ``zero_state``, ``LstmState``: one step of the graph-gated cell,
   or of the plain one when ``p.graph_dim`` is None, reading each gate's
   weight block through a column-slice op. A chain of steps checks the
@@ -48,7 +49,7 @@ import numpy as np
 
 from syntag import crf
 from syntag import recurrent as rc
-from syntag.autodiff import Tensor, constant, matmul, record, relu, rows
+from syntag.autodiff import Tensor, constant, matmul, record, rows
 from syntag.data import PAD, UNK
 from syntag.errors import ContractError, DimensionError, TreeValidationError
 
@@ -176,9 +177,15 @@ def nll(lattice, trans, gold):
     return crf.nll_batch(lattice.emissions, [lattice.n], trans, [gold])
 
 
+def _arrays(lattice, trans):
+    """The lattice's (n, L) emissions and the transitions as plain arrays."""
+    t = trans.data if isinstance(trans, Tensor) else np.asarray(trans)
+    return lattice.emissions.data, t
+
+
 def enumerate_scores(lattice, trans, size_guard=10 ** 6):
     """(scores, seqs): every label sequence, in lexicographic order, and its score."""
-    em, t = crf._as_arrays(lattice, trans)
+    em, t = _arrays(lattice, trans)
     n, L = em.shape
     if L ** n > size_guard:
         raise ContractError(f"brute force refuses {L}^{n} sequences")
@@ -192,7 +199,7 @@ def enumerate_scores(lattice, trans, size_guard=10 ** 6):
 def score_sequence(lattice, trans, y):
     """Score of one label sequence, looked up in ``enumerate_scores``."""
     scores, _ = enumerate_scores(lattice, trans)
-    n, L = crf._as_arrays(lattice, trans)[0].shape
+    n, L = lattice.emissions.data.shape
     return scores[np.ravel_multi_index(y, (L,) * n)]
 
 
@@ -227,6 +234,12 @@ def sigmoid(a):
 def tanh(a):
     out = np.tanh(a.data)
     return record(Tensor(out), (a,), lambda g: (g * (1.0 - out * out),))
+
+
+def relu(a):
+    """max(a, 0); its derivative at exactly 0 is 0. Keeps only a bool mask."""
+    positive = a.data > 0.0
+    return record(Tensor(np.maximum(a.data, 0.0)), (a,), lambda g: (g * positive,))
 
 
 @dataclass

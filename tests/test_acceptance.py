@@ -63,8 +63,7 @@ def test_gradient_suite_every_variant():
     start = time.perf_counter()
     worst = {}
     for variant in VARIANTS:
-        report = check_model_variant(variant, seed=5, count=5, length=3,
-                                     hidden=8, step=1e-5)
+        report = check_model_variant(variant, seed=5)
         worst[variant] = report.max_rel_err
     elapsed = time.perf_counter() - start
     for variant, err in worst.items():

@@ -368,6 +368,20 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err, err
 
+    def test_config_too_large_to_allocate_is_data_error(self, workdir, tmp_path,
+                                                          capsys):
+        # 10^13 hidden units make the GCN's first weight alone over a PiB, past
+        # a 47-bit address space, so it fails at once under any overcommit.
+        path = tmp_path / "huge.conf"
+        path.write_text(re.sub(r"(?m)^hidden = .*$", f"hidden = {10 ** 13}",
+                               (workdir / "model.conf").read_text()))
+        capsys.readouterr()
+        assert self._train(workdir, path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not path.with_suffix(".ckpt").exists()
+
     def test_config_and_embeddings_errors_name_their_file(self, workdir, tmp_path,
                                                           capsys):
         text = (workdir / "model.conf").read_text()

@@ -2,6 +2,8 @@
 
 The single-sentence builder and layers in ``reference`` are the oracle the
 batched ones are compared against; the tests here check them too.
+``gcn.encode_batch`` is one tape node with a hand-written backward, so its
+outputs and gradients are both held against the reference's tape ops.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ import reference
 from syntag import autodiff as ad
 from syntag import gcn
 from syntag.errors import DimensionError
+from syntag.gradcheck import check_gradients
 from syntag.training import random_tree_heads
 
 
@@ -196,7 +199,6 @@ class TestEncodeProperties:
                 out[b * n_max: b * n_max + len(heads)], single, atol=1e-12)
 
     def test_gradients_flow_through_encode(self):
-        from syntag.gradcheck import check_gradients
         rng = np.random.default_rng(8)
         adj = reference.build_adjacency([0, 1, 1])
         params = gcn.GcnParams(3, 2, 2, rng)
@@ -205,5 +207,80 @@ class TestEncodeProperties:
         def loss():
             return reference.total(reference.encode(g0, adj, params))
 
-        report = check_gradients(loss, params.parameters(), step=1e-6, floor=1e-3)
+        report = check_gradients(loss, params.parameters())
         assert report.max_rel_err < 1e-6, report.per_param
+
+
+class TestFusedNode:
+    """``encode_batch`` against per-sentence ``reference.encode``."""
+
+    @pytest.mark.parametrize("self_only", [False, True])
+    def test_outputs_and_gradients_match_the_reference(self, self_only):
+        rng = np.random.default_rng(10)
+        heads_list = [random_tree_heads(n, rng) for n in (4, 1, 6, 3)]
+        n_max, d_in = 7, 5
+        params = gcn.GcnParams(d_in, 3, 2, rng)
+        for b in params.biases:
+            b.data[...] = rng.uniform(-0.2, 0.4, b.data.shape)
+        flat = np.zeros((len(heads_list) * n_max, d_in))
+        weights = np.zeros((len(heads_list) * n_max, 3))
+        real = [np.arange(b * n_max, b * n_max + len(h))
+                for b, h in enumerate(heads_list)]
+        for r in real:
+            flat[r] = rng.uniform(-1, 1, (len(r), d_in))
+            weights[r] = rng.uniform(-1, 1, (len(r), 3))
+        adj = gcn.batch_normalized_adjacency(heads_list, n_max)
+
+        g0 = ad.Tensor(flat, requires_grad=True)
+        with ad.Tape():
+            out = gcn.encode_batch(g0, adj, params, self_only=self_only)
+            loss = reference.total(ad.constant(weights) * out)
+        ad.backward(loss)
+        got = {name: t.grad for name, t in params.parameters().items()}
+        ad.clear_grads(params.parameters())
+
+        singles = [ad.Tensor(flat[r], requires_grad=True) for r in real]
+        with ad.Tape():
+            outs = [reference.encode(g, reference.build_adjacency(h), params,
+                                     self_only=self_only)
+                    for g, h in zip(singles, heads_list)]
+            terms = [reference.total(ad.constant(weights[r]) * o)
+                     for r, o in zip(real, outs)]
+            want = sum(terms[1:], terms[0])
+        ad.backward(want)
+        for r, single, o in zip(real, singles, outs):
+            np.testing.assert_allclose(out.data[r], o.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(g0.grad[r], single.grad, rtol=0, atol=1e-12)
+        padded = np.setdiff1d(np.arange(len(flat)), np.concatenate(real))
+        assert np.all(g0.grad[padded] == 0.0)
+        for name, t in params.parameters().items():
+            np.testing.assert_allclose(got[name], t.grad, rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    def test_a_zero_pre_activation_gets_a_zero_gradient(self):
+        params = gcn.GcnParams(2, 3, 1, np.random.default_rng(11))
+        params.weights[0].data[...] = 0.0
+        params.biases[0].data[...] = [0.0, 1.0, -1.0]  # each row's pre-activation
+        g0 = ad.Tensor(np.ones((4, 2)), requires_grad=True)
+        adj = gcn.batch_normalized_adjacency([[0, 1], [2, 0]], 2)
+        with ad.Tape():
+            loss = reference.total(gcn.encode_batch(g0, adj, params))
+        ad.backward(loss)
+        np.testing.assert_array_equal(params.biases[0].grad, [0.0, 4.0, 0.0])
+        np.testing.assert_array_equal(params.weights[0].grad[:, [0, 2]], 0.0)
+        np.testing.assert_array_equal(g0.grad, 0.0)  # it reaches out only through w
+
+    def test_rows_that_do_not_fill_the_blocks_are_rejected(self):
+        params = gcn.GcnParams(4, 2, 1, np.random.default_rng(12))
+        with pytest.raises(DimensionError) as exc:
+            gcn.encode_batch(ad.Tensor(np.ones((5, 4))), np.ones((2, 3, 3)), params)
+        assert "(2, 3, 3)" in str(exc.value) and "(5, 4)" in str(exc.value)
+
+    def test_one_call_records_one_node(self):
+        rng = np.random.default_rng(13)
+        params = gcn.GcnParams(4, 3, 3, rng)
+        adj = gcn.batch_normalized_adjacency([[0, 1, 1], [0]], 3)
+        g0 = ad.Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
+        with ad.Tape() as tape:
+            gcn.encode_batch(g0, adj, params)
+        assert len(tape._nodes) == 1

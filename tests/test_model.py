@@ -27,7 +27,7 @@ from syntag.data import build_vocab
 from syntag.embeddings import CharEncoder
 from syntag.errors import ContractError, FormatError
 from syntag.evaluation import gate_histogram, gate_mean
-from syntag.gradcheck import check_model_variant, random_instances
+from syntag.gradcheck import random_instances
 from syntag.model import ModelConfig, SequenceTagger, VARIANTS
 from syntag.synthetic import generate_corpus
 from syntag.training import random_tree_heads
@@ -366,6 +366,17 @@ class TestTapeHoldsNoActivation:
         assert recorded == []
         assert any(id(t) in leaves for t in held)
 
+    @pytest.mark.parametrize("variant, nodes", [
+        ("syn-lstm-crf", 18), ("bilstm-crf", 14), ("gcn-concat-bilstm-crf", 19)])
+    def test_a_training_step_records_a_fixed_number_of_nodes(self, variant, nodes):
+        # The GCN, the recurrent layer and the CRF loss are one node each.
+        sentences = random_instances(6, [5, 2, 4, 1, 3, 5], num_labels=3, seed=4)
+        model = SequenceTagger(tiny_config(variant=variant, dropout=0.5),
+                               build_vocab(sentences), rng=np.random.default_rng(4))
+        with Tape() as tape:
+            model.loss_batch(sentences, train=True, rng=np.random.default_rng(5))
+        assert len(tape._nodes) == nodes
+
 
 class TestDecoding:
     def test_predict_returns_known_labels(self):
@@ -552,14 +563,6 @@ class TestDeterminism:
         a, _ = make_model(seed=4)
         b, _ = make_model(seed=5)
         assert not np.array_equal(a.tables.word.data, b.tables.word.data)
-
-
-class TestGradients:
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_variant_gradients(self, variant):
-        report = check_model_variant(variant, seed=1, count=2, length=3,
-                                     hidden=4)
-        assert report.max_rel_err < 1e-4, report.per_param
 
 
 GLIBC = platform.libc_ver()[0] == "glibc"

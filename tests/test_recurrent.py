@@ -277,7 +277,7 @@ class TestCellGradients:
         def loss():
             return reference.total(rc.bidirectional(x, g, [4], p, p))
 
-        report = check_gradients(loss, p.parameters(), step=1e-5, floor=1e-3)
+        report = check_gradients(loss, p.parameters())
         assert report.max_rel_err < 1e-4, report.per_param
 
 
@@ -547,7 +547,7 @@ class TestKernel:
         def loss():
             return reference.total(_run(x, g, fwd, bwd) * weights)
 
-        report = check_gradients(loss, _tracked(fwd, bwd, x, g), step=1e-5, floor=1e-3)
+        report = check_gradients(loss, _tracked(fwd, bwd, x, g))
         assert report.max_rel_err < 1e-4, report.per_param
 
     @pytest.mark.parametrize("graph", [True, False], ids=["graph", "plain"])
@@ -662,8 +662,7 @@ class TestKernel:
             return reference.total(
                 rc.bidirectional(x, None, LENGTHS, fwd, bwd, final=True) * weights)
 
-        report = check_gradients(loss, _tracked(fwd, bwd, x, None), step=1e-5,
-                                 floor=1e-3)
+        report = check_gradients(loss, _tracked(fwd, bwd, x, None))
         assert report.max_rel_err < 1e-4, report.per_param
 
     def test_final_states_are_last_real_positions(self):

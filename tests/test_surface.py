@@ -3,10 +3,7 @@ and every reference in ``tests/reference.py`` is reached by a test.
 
 A top-level function or class, or a public method, that only tests call is
 dead weight in ``src/syntag``: the test belongs with a reference copy in
-``tests/reference.py``, or the name goes. The one declared oracle,
-``crf.viterbi``, is the per-sentence reference the tests hold
-``viterbi_batch`` against. The benchmark's traced predict also calls it
-today; the declaration keeps it in the package once that call goes.
+``tests/reference.py``, or the name goes. No package name is exempt.
 
 A name counts as reached when it appears as an ``ast.Name``, an
 ``ast.Attribute`` or an import alias anywhere in ``src/syntag/*.py`` or
@@ -19,7 +16,7 @@ Likewise every parameter with a default, of a package function, method or
 constructor, must be passed by some call in the package or the benchmark; a
 default no caller overrides is an option nobody uses. Calls are matched by
 the called name (a constructor through its class name), so this too is a
-lower bound. ``TEST_ONLY`` names the few parameters only tests set.
+lower bound. ``TEST_ONLY`` names the one parameter only tests set.
 
 ``autodiff`` gets an exact check, because numpy shares names such as
 ``sum``, ``reshape`` and ``take`` with ops it could carry: each name in its
@@ -40,7 +37,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "syntag").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 
-ORACLES = frozenset({"viterbi"})  # crf: per-sentence reference for viterbi_batch
 TESTS = sorted((ROOT / "tests").glob("test_*.py"))
 REFERENCE = ROOT / "tests" / "reference.py"
 
@@ -76,7 +72,7 @@ def test_every_definition_is_reached_outside_tests():
     unreached = sorted(
         f"{path.stem}.{name}"
         for path in PACKAGE for name in _definitions(path)
-        if name.rpartition(".")[2] not in reached | ORACLES)
+        if name.rpartition(".")[2] not in reached)
     assert unreached == []
 
 
@@ -141,13 +137,9 @@ def test_every_reference_is_used_by_a_test():
     assert unused == []
 
 
-# (module, function, parameter) set only by tests: the model-level gradient
-# check's problem size and step, ``check_gradients``' error floor (1.0 in the
-# autodiff tests), and the CLI's argument list.
-TEST_ONLY = frozenset(
-    [("gradcheck", "check_model_variant", name)
-     for name in ("count", "length", "hidden", "step")]
-    + [("gradcheck", "check_gradients", "floor"), ("cli", "main", "argv")])
+# (module, function, parameter) set only by tests: the CLI's argument list,
+# which the console entry point leaves to sys.argv.
+TEST_ONLY = frozenset({("cli", "main", "argv")})
 
 
 def _defaulted_parameters(path):
