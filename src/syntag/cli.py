@@ -302,7 +302,9 @@ def main(argv=None):
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
     except (SyntagError, OSError, MemoryError) as exc:
-        # MemoryError: a config or checkpoint sized past what can be allocated
+        if isinstance(exc, MemoryError):  # sized past what can be allocated
+            sized_by = vars(args).get("model") or vars(args).get("config")
+            exc = f"{sized_by}: {exc}" if sized_by else exc
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,8 +7,8 @@ bidirectional LSTM over character embeddings: the final hidden state of
 each direction, concatenated.
 
 PAD rows (id 0) of every table are zero at initialization and receive zero
-gradient, because padded positions are masked out of every downstream
-computation; they therefore stay zero through training.
+gradient, because the model gathers rows at real positions only; they
+therefore stay zero through training.
 """
 
 from __future__ import annotations
@@ -95,26 +95,6 @@ class CharEncoder:
                              final=True)
 
 
-def with_zero_row(token_vectors):
-    """``token_vectors`` with a zero row appended, the row that padded
-    positions read in ``gather_padded``."""
-    dim = token_vectors.data.shape[1]
-    return concat([token_vectors, constant(np.zeros((1, dim)))], axis=0)
-
-
-def gather_padded(padded, position_of, total_rows):
-    """Rows of ``padded`` (see ``with_zero_row``) in a padded flat layout.
-
-    position_of maps flat row index -> row of ``padded``; a padded position
-    reads the last, zero row. Gradients flow only into the rows of real
-    tokens.
-    """
-    if len(position_of) != total_rows:
-        raise ContractError(
-            f"expected {total_rows} positions, got {len(position_of)}")
-    return rows(padded, position_of)
-
-
 def scatter_token_rows(token_vectors, position_of, total_rows):
     """Spread per-token vectors into a padded flat layout.
 
@@ -122,4 +102,9 @@ def scatter_token_rows(token_vectors, position_of, total_rows):
     ``len(token_vectors)`` and gets a zero row. Gradients flow only into
     real tokens.
     """
-    return gather_padded(with_zero_row(token_vectors), position_of, total_rows)
+    if len(position_of) != total_rows:
+        raise ContractError(
+            f"expected {total_rows} positions, got {len(position_of)}")
+    dim = token_vectors.data.shape[1]
+    return rows(concat([token_vectors, constant(np.zeros((1, dim)))], axis=0),
+                position_of)

@@ -9,7 +9,9 @@ A layer aggregates transformed neighbor features, normalizes by the degree
 
 A config switch (`self_only`) changes the feature term to use only the
 node's own row, in which case the neighbor sum collapses and the layer is
-relu(g_prev @ w + b) exactly; the default is the aggregation above.
+relu(g_prev @ w + b) exactly; the default is the aggregation above. A batch
+is aggregated sentence by sentence, each with its own (n, n) block, on its
+real rows only.
 """
 
 from __future__ import annotations
@@ -22,20 +24,23 @@ from .initializers import glorot, zeros
 
 
 def batch_normalized_adjacency(heads_list, n_max):
-    """Stack row-normalized adjacencies padded to n_max: (B, n_max, n_max).
+    """Each sentence's row-normalized adjacency, and where its rows sit.
 
-    Every row starts with its self-loop, each head-dependent pair adds a 1
-    in both directions, and rows are divided by their degree. Padded
-    positions keep a bare self-loop, so their degree is 1; their output
-    rows are never consumed downstream.
+    Returns ``(real, blocks)``: ``real`` is a bool mask over the B * n_max
+    rows of a padded batch, true at each sentence's real positions, and
+    ``blocks[b]`` is sentence b's own (n, n) adjacency. Every row starts
+    with its self-loop, each head-dependent pair adds a 1 in both
+    directions, and rows are divided by their degree.
     """
-    a = np.tile(np.eye(n_max), (len(heads_list), 1, 1))
-    for b, heads in enumerate(heads_list):
+    blocks = []
+    for heads in heads_list:
+        a = np.eye(len(heads))
         dep = np.flatnonzero(heads)
         head = np.asarray(heads)[dep] - 1
-        a[b, dep, head] = a[b, head, dep] = 1.0
-    a /= a.sum(axis=2, keepdims=True)
-    return a
+        a[dep, head] = a[head, dep] = 1.0
+        blocks.append(a / a.sum(axis=1, keepdims=True))
+    lengths = np.array([len(a) for a in blocks])
+    return (np.arange(n_max) < lengths[:, None]).ravel(), blocks
 
 
 class GcnParams:
@@ -59,47 +64,68 @@ class GcnParams:
         return out
 
 
-def encode_batch(g0_flat, adj_norm, params, self_only=False):
-    """L layers over a padded batch, recorded as one tape node.
+def encode_batch(g0, adj, params, self_only=False):
+    """L layers over a batch, recorded as one tape node.
 
-    g0_flat is (B * n_max, D); adj_norm is the (B, n_max, n_max) stack from
-    batch_normalized_adjacency. Returns (B * n_max, H). The node's inputs are
-    g0 and each layer's weight and bias. Its backward keeps each layer's
+    ``adj`` is ``(real, blocks)`` from batch_normalized_adjacency. g0 holds
+    the real rows, sentence-major, or all B * n_max padded rows (other row
+    counts raise DimensionError); the output, (rows, H), and g0's gradient
+    come back in its layout, zero at padded rows. A layer is a weight GEMM
+    over the real rows and a block product per sentence. The node's inputs
+    are g0 and each layer's weight and bias. Its backward keeps each layer's
     input and a mask of its positive pre-activations; per layer in reverse
     it masks the gradient (so relu has derivative 0 at exactly 0), sums it
-    into the bias, aggregates it back with the transposed adjacency, and
-    forms the weight's and the input's gradients.
+    into the bias, aggregates it back with the transposed blocks, and forms
+    the weight's and the input's gradients.
     """
-    batch, n_max = adj_norm.shape[:2]
-    if adj_norm.shape != (batch, n_max, n_max) or g0_flat.data.ndim != 2 \
-            or g0_flat.data.shape[0] != batch * n_max:
-        raise DimensionError(f"gcn: a {adj_norm.shape} adjacency stack does "
-                             f"not fit rows {g0_flat.data.shape}")
+    real, blocks = adj
+    ends = np.cumsum([len(a) for a in blocks]).tolist()
+    shape = g0.data.shape
+    if len(shape) != 2 or shape[0] not in (ends[-1], len(real)):
+        raise DimensionError(f"gcn: g0 has shape {shape}, expected {ends[-1]} real "
+                             f"rows or {len(real)} padded rows")
+    padded = shape[0] != ends[-1]
+
+    def aggregate(m, transpose):
+        out = np.empty_like(m)
+        for a, stop in zip(blocks, ends):
+            at = slice(stop - len(a), stop)
+            np.matmul(a.T if transpose else a, m[at], out=out[at])
+        return out
+
+    def layout(m):  # m's rows where g0's real rows are
+        if not padded:
+            return m
+        full = np.zeros((shape[0], m.shape[1]))
+        full[real] = m
+        return full
+
     layers = list(zip(params.weights, params.biases))
-    inputs = (g0_flat, *(t for layer in layers for t in layer))
+    inputs = (g0, *(t for layer in layers for t in layer))
     tracked = recording(inputs)
-    g, kept = g0_flat.data, []
+    g, kept = g0.data[real] if padded else g0.data, []
     for w, b in layers:
         msg = g @ w.data
         if not self_only:
-            msg = np.matmul(adj_norm, msg.reshape(batch, n_max, -1)).reshape(msg.shape)
+            msg = aggregate(msg, False)
         z = msg + b.data
         if tracked:
             kept.append((g, w.data, z > 0.0))
         g = np.maximum(z, 0.0)
     if not tracked:
-        return Tensor(g)
-    adj_t = adj_norm.swapaxes(1, 2)
+        return Tensor(layout(g))
 
     def bk(grad):
+        if padded:
+            grad = grad[real]
         grads = []
         for g_in, w, positive in reversed(kept):
             d = grad * positive
             db = d.sum(axis=0)
             if not self_only:
-                d = np.matmul(adj_t, d.reshape(batch, n_max, -1)).reshape(d.shape)
+                d = aggregate(d, True)
             grads[:0] = [g_in.T @ d, db]
             grad = d @ w.T
-        return (grad, *grads)
+        return (layout(grad), *grads)
 
-    return record(Tensor(g), inputs, bk)
+    return record(Tensor(layout(g)), inputs, bk)

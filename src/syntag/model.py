@@ -9,10 +9,11 @@ Three variants share one code path:
 - ``gcn-concat-bilstm-crf``: the graph encoder output is concatenated to
   the token features and a plain bidirectional LSTM runs on top.
 
-All variants end in the same linear projection and CRF layer. Batches are
-laid out sentence-major: row ``b * n_max + t`` of every flat matrix holds
-sentence b, position t, with padded positions masked out of the recurrence,
-the CRF, and the loss.
+All variants end in the same linear projection and CRF layer. From the
+embedding gathers through the recurrence a batch is its real positions only,
+sentence b's rows after sentence b - 1's. Padded, with row ``b * n_max + t``
+for sentence b, position t, are the dropout draws (a mask covers every
+padded row and keeps the real ones'), the emissions and the CRF.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ import numpy as np
 from . import crf as crf_mod
 from .autodiff import Tensor, concat, constant, record, rows
 from .data import SCHEMES, Vocabulary, read_lines
-from .embeddings import (CharEncoder, EmbeddingTables, gather_padded,
-                         with_zero_row)
+from .embeddings import CharEncoder, EmbeddingTables, scatter_token_rows
 from .errors import ContractError, FormatError
 from .gcn import GcnParams, batch_normalized_adjacency, encode_batch
 from .recurrent import LstmParams, bidirectional
@@ -197,8 +197,8 @@ def _word_ids(vocab, forms):
 @dataclass
 class _Forms:
     """Distinct forms encoded once: ``row`` maps each form to its row of
-    ``word_ids`` and ``char_vecs``, which end in a 0 and a zero row (see
-    ``embeddings.gather_padded``) for padded positions."""
+    ``word_ids`` and ``char_vecs``; ``word_ids`` ends in the 0 that padded
+    positions read in ``_batch_arrays``."""
 
     row: dict
     word_ids: np.ndarray
@@ -346,8 +346,7 @@ class SequenceTagger:
                 self.tables.char,
                 [[self.vocab.char_id(c) for c in tok] for tok in chunk]).data
             lo = hi
-        return _Forms(row, _word_ids(self.vocab, row),
-                      with_zero_row(constant(vecs)))
+        return _Forms(row, _word_ids(self.vocab, row), constant(vecs))
 
     def forward_batch(self, sentences, train=False, rng=None, gates=None,
                       forms=None):
@@ -365,23 +364,21 @@ class SequenceTagger:
             raise ContractError("training forward pass needs a dropout rng")
         (batch, lengths, n_max, word_ids, pos_ids, deprel_ids, position_of,
          char_rows) = self._batch_arrays(sentences, forms)
-        total = batch * n_max
+        real = (np.arange(n_max) < np.array(lengths)[:, None]).ravel()
+        tokens = int(real.sum())
 
-        if forms is None:
-            char_vecs = with_zero_row(self.char_encoder.encode_batch(
-                self.tables.char, char_rows))
-        else:
-            char_vecs = forms.char_vecs
-        parts = [rows(self.tables.word, word_ids),
-                 gather_padded(char_vecs, position_of, total)]
+        char_vecs = (self.char_encoder.encode_batch(self.tables.char, char_rows)
+                     if forms is None else forms.char_vecs)
+        parts = [rows(self.tables.word, word_ids[real]),
+                 rows(char_vecs, position_of[real])]
         if self.use_deprel:
-            parts.append(rows(self.tables.deprel, deprel_ids))
+            parts.append(rows(self.tables.deprel, deprel_ids[real]))
         x_parts = list(parts)
         if self.use_pos:
-            x_parts.append(rows(self.tables.pos, pos_ids))
+            x_parts.append(rows(self.tables.pos, pos_ids[real]))
         x = concat(x_parts, axis=1)
         if train:
-            x = self._dropout(x, rng)
+            x = self._dropout(x, rng, real)
         # The gathered rows go once both concats exist; no closure reads them.
         g0 = concat(parts, axis=1) if self.gcn is not None else None
         del char_vecs, parts, x_parts
@@ -389,10 +386,10 @@ class SequenceTagger:
         g_flat = None
         if self.use_graph:
             if self.zero_graph:
-                g_flat = constant(np.zeros((total, self.config.hidden)))
+                g_flat = constant(np.zeros((tokens, self.config.hidden)))
             else:
                 if train:
-                    g0 = self._dropout(g0, rng)
+                    g0 = self._dropout(g0, rng, real)
                 adj = batch_normalized_adjacency(
                     [s.heads for s in sentences], n_max)
                 g_flat = encode_batch(g0, adj, self.gcn,
@@ -404,16 +401,24 @@ class SequenceTagger:
         h = bidirectional(x, g_flat, lengths, self.cell_fwd, self.cell_bwd,
                           gates=gates)
         if train:
-            h = self._dropout(h, rng)
+            h = self._dropout(h, rng, real)
+        # Emissions stay padded, at the bias on padded rows: BLAS groups the
+        # sums of the emission weights' gradient by the GEMM's row count.
+        h = scatter_token_rows(h, np.where(real, np.cumsum(real) - 1, tokens),
+                               len(real))
         emissions = crf_mod.emissions_from_hidden(h, self.crf)
         return BatchForward(emissions, lengths, n_max)
 
-    def _dropout(self, x, rng):
+    def _dropout(self, x, rng, real=None):
+        """With ``real``, a padded batch's mask of real rows, x holds those
+        rows: the draw covers every padded row and keeps theirs."""
         p = self.config.dropout
         if p == 0.0:
             return x
+        shape = x.data.shape if real is None else (len(real), x.data.shape[1])
         # keep * scale is bitwise keep.astype(float) / (1 - p), held as bools
-        keep, scale = rng.random(x.data.shape) >= p, 1.0 / (1.0 - p)
+        keep, scale = rng.random(shape) >= p, 1.0 / (1.0 - p)
+        keep = keep if real is None else keep[real]
         return record(Tensor(x.data * (keep * scale)), (x,),
                       lambda g: (g * (keep * scale),))
 

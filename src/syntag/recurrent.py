@@ -21,10 +21,11 @@ ordered ``[i, c, f, o | m, s]`` (c and s are the token and graph
 candidates): the token stream feeds the first 4H columns, the graph stream,
 when there is one, columns 2H-6H, and the previous hidden state all of them.
 States start at zero.
-Batches are packed: rows are ranked longest first, so at step t only the
+Inside the kernel rows are ranked longest first, so at step t only the
 sentences longer than t are live, in both directions, and every GEMM, gate
-and BPTT step runs on that prefix alone. Padded positions are never read or
-computed; their output rows are zero. Only h_{t-1} is sequential, so the
+and BPTT step runs on that prefix alone. The caller's rows may be packed
+(real positions only) or padded; padded positions are never read or
+computed, and their output rows are zero. Only h_{t-1} is sequential, so the
 token and graph projections run outside the step loop: one GEMM per stream
 for each block of whole consecutive steps that fits in ``_BLOCK_ROWS``
 packed rows (a longer step is a block of its own), a budget that bounds the
@@ -272,18 +273,20 @@ def _direction(x, g, p, src, live, order, out, final, keep, acts):
 
 
 def bidirectional(x, g, lengths, fwd, bwd, final=False, gates=None):
-    """Both directions of the kernel over a padded sentence-major batch.
+    """Both directions of the kernel over a sentence-major batch.
 
-    x is (B * n_max, Dx) with row b * n_max + t holding sentence b, position
-    t; g likewise for the graph-gated cell, None for the plain one. Returns
-    (B * n_max, 2H), each row the forward and backward hidden states at that
-    position, or with ``final`` the (B, 2H) states after each direction's
-    last step. Padded rows (t >= lengths[b]) are never read: a NaN there
-    changes nothing, their output rows are exact zeros in both directions,
-    and their input rows and output rows get zero gradient. ``lengths``
-    must be non-negative with a positive maximum, and x and g must have
-    ``len(lengths) * max(lengths)`` rows, else it raises ContractError or
-    DimensionError. When ``gates`` is a dict, each of the cell's gates in
+    x holds the batch's real positions, packed ((sum(lengths), Dx), sentence
+    b's rows after sentence b - 1's), or padded ((B * n_max, Dx), row
+    b * n_max + t for sentence b, position t); g likewise for the
+    graph-gated cell, None for the plain one. Returns each row's forward and
+    backward hidden states, (rows, 2H) in x's layout, or with ``final`` the
+    (B, 2H) states after each direction's last step. Padded rows
+    (t >= lengths[b]) are never read: a NaN there changes nothing, their
+    output rows are exact zeros in both directions, and their input rows
+    and output rows get zero gradient. ``lengths`` must be non-negative with
+    a positive maximum, and g must have as many rows as x, one of those two
+    counts, else it raises ContractError or DimensionError. Both layouts
+    give the same bits. When ``gates`` is a dict, each of the cell's gates in
     GATE_NAMES appends to ``gates[name]`` one (tokens, 2, H) array: its
     activations at the batch's real positions in row order, direction 0
     forward. Under a tape the result is one node over x, g and both
@@ -306,11 +309,14 @@ def bidirectional(x, g, lengths, fwd, bwd, final=False, gates=None):
         raise ContractError(f"lengths run from {lengths.min()} to {lengths.max()}; "
                             "none may be negative and the longest needs a token")
     batch, n_max = len(lengths), int(lengths.max())
+    tokens, rows = int(lengths.sum()), x.data.shape[0]
     for name, t in (("token", x), ("graph", g)):
-        if t is not None and t.data.shape[0] != batch * n_max:
+        if t is not None and (t.data.shape[0] != rows
+                              or rows not in (tokens, batch * n_max)):
             raise DimensionError(
-                f"{name} input has {t.data.shape[0]} rows, expected "
-                f"len(lengths) * max(lengths) = {batch} * {n_max}")
+                f"{name} input has {t.data.shape[0]} rows, expected as many as "
+                f"the token input: sum(lengths) = {tokens} packed, or "
+                f"len(lengths) * max(lengths) = {batch} * {n_max} padded")
     hidden = fwd.hidden
     # Rank rows longest first; then step t runs the live[t] longest rows in
     # both directions. sent and step give each packed row's sentence and step.
@@ -321,8 +327,10 @@ def bidirectional(x, g, lengths, fwd, bwd, final=False, gates=None):
     # The forward direction reads position t at step t, the reverse one
     # starts each sentence at its own last position.
     positions = (step, lengths[sent] - 1 - step)
-    srcs = tuple(sent * n_max + at for at in positions)
-    flat = np.zeros((batch if final else batch * n_max, 2 * hidden))
+    starts = np.cumsum(lengths) - lengths  # each sentence's first packed row
+    first = starts if rows == tokens else np.arange(batch) * n_max  # in x
+    srcs = tuple(first[sent] + at for at in positions)
+    flat = np.zeros((batch if final else rows, 2 * hidden))
     streams = (x,) if g is None else (x, g)
     inputs = streams + tuple(w for p in (fwd, bwd) for w in p.parameters().values())
     keep = ad.recording(inputs)
@@ -339,7 +347,6 @@ def bidirectional(x, g, lengths, fwd, bwd, final=False, gates=None):
 
     (acts_fwd, bk_fwd), (acts_bwd, bk_bwd) = _both_sides(run, concurrent)
     if gates is not None:
-        starts = np.cumsum(lengths) - lengths
         for k, name in enumerate(fwd.gates):
             if name in GATE_NAMES:
                 stacked = np.empty((len(step), 2, hidden))

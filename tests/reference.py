@@ -6,7 +6,13 @@ the same jobs one sentence or one step at a time, from loops and tape ops.
 * ``build_adjacency``, ``gcn_layer``, ``encode``: the GCN over one sentence,
   one layer at a time from ``matmul``, ``+`` and ``relu`` tape ops; check
   ``gcn.batch_normalized_adjacency`` and the outputs and gradients of
-  ``gcn.encode_batch``, one fused tape node over a padded batch.
+  ``gcn.encode_batch``, one fused tape node over a batch's real rows.
+* ``dense_adjacency``, ``padded_forward_batch``: the model wired over
+  padded rows, every layer at all B * n_max positions and the GCN over a
+  dense (B, n_max, n_max) adjacency stack; check bit for bit that
+  ``forward_batch``, ``loss_batch`` and ``predict``, which build rows at
+  real positions only, give the same numbers, and ``dense_adjacency``
+  checks the per-sentence blocks.
 * ``log_partition_batch``, ``log_partition``, ``nll``: the CRF forward
   algorithm as a tape op, and the loss, read through a plain (lattice,
   transitions, labels) call.
@@ -49,9 +55,11 @@ import numpy as np
 
 from syntag import crf
 from syntag import recurrent as rc
-from syntag.autodiff import Tensor, constant, matmul, record, rows
+from syntag.autodiff import Tensor, concat, constant, matmul, record, rows
 from syntag.data import PAD, UNK
+from syntag.embeddings import scatter_token_rows
 from syntag.errors import ContractError, DimensionError, TreeValidationError
+from syntag.model import BatchForward
 
 
 @dataclass
@@ -95,6 +103,100 @@ def encode(g0, adj, params, self_only=False):
     for w, b in zip(params.weights, params.biases):
         g = gcn_layer(g, adj, w, b, self_only=self_only)
     return g
+
+
+def dense_adjacency(heads_list, n_max):
+    """Stack row-normalized adjacencies padded to n_max: (B, n_max, n_max).
+
+    Padded positions keep a bare self-loop, so their degree is 1.
+    """
+    a = np.tile(np.eye(n_max), (len(heads_list), 1, 1))
+    for b, heads in enumerate(heads_list):
+        dep = np.flatnonzero(heads)
+        head = np.asarray(heads)[dep] - 1
+        a[b, dep, head] = a[b, head, dep] = 1.0
+    a /= a.sum(axis=2, keepdims=True)
+    return a
+
+
+def _dense_encode(g0_flat, stack, params, self_only=False):
+    """The GCN as one tape node over every row of a padded batch.
+
+    ``stack`` comes from ``dense_adjacency``; each layer multiplies all
+    B * n_max rows by its weight and each sentence's padded block, so padded
+    rows carry relu(b) onward. Returns (B * n_max, H).
+    """
+    batch, n_max = stack.shape[:2]
+    layers = list(zip(params.weights, params.biases))
+    inputs = (g0_flat, *(t for layer in layers for t in layer))
+    g, kept = g0_flat.data, []
+    for w, b in layers:
+        msg = g @ w.data
+        if not self_only:
+            msg = np.matmul(stack, msg.reshape(batch, n_max, -1)).reshape(msg.shape)
+        z = msg + b.data
+        kept.append((g, w.data, z > 0.0))
+        g = np.maximum(z, 0.0)
+    stack_t = stack.swapaxes(1, 2)
+
+    def bk(grad):
+        grads = []
+        for g_in, w, positive in reversed(kept):
+            d = grad * positive
+            db = d.sum(axis=0)
+            if not self_only:
+                d = np.matmul(stack_t, d.reshape(batch, n_max, -1)).reshape(d.shape)
+            grads[:0] = [g_in.T @ d, db]
+            grad = d @ w.T
+        return (grad, *grads)
+
+    return record(Tensor(g), inputs, bk)
+
+
+def padded_forward_batch(model, sentences, train=False, rng=None, gates=None,
+                         forms=None):
+    """``SequenceTagger.forward_batch`` with every row padded.
+
+    The embedding rows, the dropout products, the GCN (``_dense_encode``) and
+    the recurrence run on all B * n_max rows, as the benchmark's traced
+    twin runs them; the dropout draws are the same. Takes and returns what
+    ``forward_batch`` does, so it can stand in for it.
+    """
+    (batch, lengths, n_max, word_ids, pos_ids, deprel_ids, position_of,
+     char_rows) = model._batch_arrays(sentences, forms)
+    total = batch * n_max
+    if forms is None:
+        char_vecs = model.char_encoder.encode_batch(model.tables.char, char_rows)
+    else:
+        char_vecs = forms.char_vecs
+    parts = [rows(model.tables.word, word_ids),
+             scatter_token_rows(char_vecs, position_of, total)]
+    if model.use_deprel:
+        parts.append(rows(model.tables.deprel, deprel_ids))
+    x_parts = list(parts)
+    if model.use_pos:
+        x_parts.append(rows(model.tables.pos, pos_ids))
+    x = concat(x_parts, axis=1)
+    if train:
+        x = model._dropout(x, rng)
+    g_flat = None
+    if model.use_graph:
+        if model.zero_graph:
+            g_flat = constant(np.zeros((total, model.config.hidden)))
+        else:
+            g0 = concat(parts, axis=1)
+            if train:
+                g0 = model._dropout(g0, rng)
+            stack = dense_adjacency([s.heads for s in sentences], n_max)
+            g_flat = _dense_encode(g0, stack, model.gcn,
+                                  self_only=model.config.self_only_gcn)
+    if model.config.variant == "gcn-concat-bilstm-crf":
+        x, g_flat = concat([x, g_flat], axis=1), None
+    h = rc.bidirectional(x, g_flat, lengths, model.cell_fwd, model.cell_bwd,
+                         gates=gates)
+    if train:
+        h = model._dropout(h, rng)
+    return BatchForward(crf.emissions_from_hidden(h, model.crf), lengths, n_max)
 
 
 def total(a):

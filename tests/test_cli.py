@@ -378,9 +378,25 @@ class TestExitCodes:
         capsys.readouterr()
         assert self._train(workdir, path) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
         assert not path.with_suffix(".ckpt").exists()
+
+    def test_checkpoint_too_large_to_allocate_is_named_data_error(self, workdir,
+                                                                  tmp_path, capsys):
+        ckpt = load_checkpoint(workdir / "model.ckpt")
+        path, out = tmp_path / "huge.ckpt", tmp_path / "tagged.tsv"
+        save_checkpoint(dataclasses.replace(ckpt, config=dataclasses.replace(
+            ckpt.config, hidden=10 ** 13)), path)
+        data = ["--data", str(workdir / "dev.tsv")]
+        for argv in (["predict", "--model", str(path), *data, "--out", str(out)],
+                     ["eval", "--model", str(path), *data]):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+            assert "Unable to allocate" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_config_and_embeddings_errors_name_their_file(self, workdir, tmp_path,
                                                           capsys):

@@ -3,7 +3,9 @@
 The single-sentence builder and layers in ``reference`` are the oracle the
 batched ones are compared against; the tests here check them too.
 ``gcn.encode_batch`` is one tape node with a hand-written backward, so its
-outputs and gradients are both held against the reference's tape ops.
+outputs and gradients are both held against the reference's tape ops, in
+the packed and the padded layout. ``reference.dense_adjacency`` is the
+padded (B, n_max, n_max) stack the per-sentence blocks are checked against.
 """
 
 import numpy as np
@@ -51,20 +53,29 @@ class TestAdjacency:
             heads_list = [random_tree_heads(int(rng.integers(1, 12)), rng)
                           for _ in range(int(rng.integers(1, 5)))]
             n_max = max(map(len, heads_list)) + int(rng.integers(0, 3))
-            want = np.zeros((len(heads_list), n_max, n_max))
-            want[:] = np.eye(n_max)
-            for b, heads in enumerate(heads_list):
+            stack = reference.dense_adjacency(heads_list, n_max)
+            real, blocks = gcn.batch_normalized_adjacency(heads_list, n_max)
+            assert real.shape == (len(heads_list) * n_max,)
+            for b, (heads, block) in enumerate(zip(heads_list, blocks)):
                 n = len(heads)
-                want[b, :n, :n] = reference.build_adjacency(heads).normalized()
-            got = gcn.batch_normalized_adjacency(heads_list, n_max)
-            assert got.tobytes() == want.tobytes()
+                want = reference.build_adjacency(heads).normalized()
+                assert stack[b, :n, :n].tobytes() == want.tobytes()
+                assert block.tobytes() == want.tobytes()
+                # no real row reaches a padded one, so the block is all of it
+                assert not stack[b, :n, n:].any() and not stack[b, n:, :n].any()
+                np.testing.assert_array_equal(
+                    real[b * n_max: (b + 1) * n_max], np.arange(n_max) < n)
 
     def test_padded_batch_has_self_loops(self):
-        stack = gcn.batch_normalized_adjacency([[0], [2, 0]], n_max=3)
+        stack = reference.dense_adjacency([[0], [2, 0]], n_max=3)
         assert stack.shape == (2, 3, 3)
         np.testing.assert_array_equal(stack[0, 1], [0, 1, 0])
         np.testing.assert_array_equal(stack[0, 2], [0, 0, 1])
         np.testing.assert_allclose(stack.sum(axis=2), 1.0)
+        real, blocks = gcn.batch_normalized_adjacency([[0], [2, 0]], n_max=3)
+        np.testing.assert_array_equal(real, [1, 0, 0, 1, 1, 0])
+        np.testing.assert_array_equal(blocks[0], [[1.0]])
+        np.testing.assert_array_equal(blocks[1], [[0.5, 0.5], [0.5, 0.5]])
 
 
 class TestGcnLayer:
@@ -272,9 +283,45 @@ class TestFusedNode:
 
     def test_rows_that_do_not_fill_the_blocks_are_rejected(self):
         params = gcn.GcnParams(4, 2, 1, np.random.default_rng(12))
-        with pytest.raises(DimensionError) as exc:
-            gcn.encode_batch(ad.Tensor(np.ones((5, 4))), np.ones((2, 3, 3)), params)
-        assert "(2, 3, 3)" in str(exc.value) and "(5, 4)" in str(exc.value)
+        adj = gcn.batch_normalized_adjacency([[0, 1, 1], [0]], 3)  # 4 real, 6 padded
+        for shape in ((5, 4), (4, 4, 1)):
+            with pytest.raises(DimensionError) as exc:
+                gcn.encode_batch(ad.Tensor(np.ones(shape)), adj, params)
+            message = str(exc.value)
+            assert str(shape) in message, message
+            assert "4 real rows" in message and "6 padded rows" in message
+
+    @pytest.mark.parametrize("self_only", [False, True])
+    def test_packed_and_padded_layouts_agree_bitwise(self, self_only):
+        rng = np.random.default_rng(14)
+        heads_list = [random_tree_heads(n, rng) for n in (4, 1, 6, 3)]
+        n_max, d_in = 7, 5
+        params = gcn.GcnParams(d_in, 3, 2, rng)
+        for b in params.biases:
+            b.data[...] = rng.uniform(-0.2, 0.4, b.data.shape)
+        adj = gcn.batch_normalized_adjacency(heads_list, n_max)
+        real = adj[0]
+        packed = rng.uniform(-1, 1, (real.sum(), d_in))
+        padded = np.full((len(real), d_in), np.nan)  # padded rows are never read
+        padded[real] = packed
+        weights = rng.uniform(-1, 1, (len(real), 3))
+        runs = []
+        for flat, w in ((packed, weights[real]), (padded, weights)):
+            g0 = ad.Tensor(flat, requires_grad=True)
+            with ad.Tape():
+                out = gcn.encode_batch(g0, adj, params, self_only=self_only)
+                loss = reference.total(ad.constant(w) * out)
+            ad.backward(loss)
+            runs.append((out.data, g0.grad,
+                         {n: t.grad for n, t in params.parameters().items()}))
+            ad.clear_grads(params.parameters())
+        (out_p, dg0_p, grads_p), (out_f, dg0_f, grads_f) = runs
+        assert out_f.shape == (len(real), 3) and dg0_f.shape == padded.shape
+        assert out_f[real].tobytes() == out_p.tobytes()
+        assert dg0_f[real].tobytes() == dg0_p.tobytes()
+        assert np.all(out_f[~real] == 0.0) and np.all(dg0_f[~real] == 0.0)
+        for name in grads_p:
+            assert grads_f[name].tobytes() == grads_p[name].tobytes(), name
 
     def test_one_call_records_one_node(self):
         rng = np.random.default_rng(13)

@@ -274,6 +274,65 @@ def test_emissions_do_not_depend_on_batch_partners(variant, data):
     np.testing.assert_allclose(got, alone, rtol=0, atol=1e-12)
 
 
+def _every_number(model, sentences, seed):
+    """Loss, every gradient, emissions, gate traces and labels, by name."""
+    out = {}
+    with Tape():
+        loss = model.loss_batch(sentences, train=True,
+                                rng=np.random.default_rng(seed))
+        backward(loss)
+    out["loss"] = loss.data
+    for name, p in model.parameters().items():
+        out[f"grad/{name}"] = p.grad
+        p.grad = None
+    gates, traced = {}, {}
+    out["emissions"] = model.forward_batch(sentences, gates=gates).emissions.data
+    out["labels"] = np.array([" ".join(labels) for labels in model.predict(
+        sentences, batch_size=3, gates=traced)])
+    for name, arrays in (*gates.items(), *(("p" + k, v) for k, v in traced.items())):
+        for i, a in enumerate(arrays):
+            out[f"gates/{name}/{i}"] = a
+    return out
+
+
+class TestPackedLayout:
+    """Rows built at real positions only give the padded wiring's bits."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_padded_reference_bit_for_bit(self, data):
+        lengths = data.draw(st.one_of(
+            st.lists(st.integers(1, 12), min_size=1, max_size=6),
+            st.builds(lambda n, k: [n] * k, st.integers(1, 12), st.integers(1, 4))),
+            label="lengths")
+        variant = data.draw(st.sampled_from(VARIANTS), label="variant")
+        seed = data.draw(st.integers(0, 1000), label="seed")
+        config = tiny_config(variant=variant, dropout=0.5,
+                             crf_constraints=data.draw(st.booleans()),
+                             self_only_gcn=data.draw(st.booleans()))
+        sentences = random_instances(len(lengths), lengths, num_labels=2,
+                                     seed=seed)
+        model = SequenceTagger(config, build_vocab(sentences),
+                               rng=np.random.default_rng(seed))
+        packed = _every_number(model, sentences, seed)
+        with mock.patch.object(model, "forward_batch", functools.partial(
+                reference.padded_forward_batch, model)):
+            padded = _every_number(model, sentences, seed)
+        assert packed.keys() == padded.keys()
+        for name, got in packed.items():
+            assert got.tobytes() == padded[name].tobytes(), name
+
+    def test_the_reference_stands_in_for_forward_batch(self):
+        model, sentences = make_model(count=3, variant="gcn-concat-bilstm-crf")
+        calls = []
+        padded = functools.partial(reference.padded_forward_batch, model)
+        with mock.patch.object(model, "forward_batch",
+                               lambda *a, **k: calls.append(1) or padded(*a, **k)):
+            model.loss_batch(sentences)
+            model.predict(sentences)
+        assert len(calls) == 2
+
+
 class TestDropout:
     def test_train_mode_needs_rng(self):
         model, sentences = make_model(dropout=0.5)
@@ -367,9 +426,11 @@ class TestTapeHoldsNoActivation:
         assert any(id(t) in leaves for t in held)
 
     @pytest.mark.parametrize("variant, nodes", [
-        ("syn-lstm-crf", 18), ("bilstm-crf", 14), ("gcn-concat-bilstm-crf", 19)])
+        ("syn-lstm-crf", 19), ("bilstm-crf", 15), ("gcn-concat-bilstm-crf", 20)])
     def test_a_training_step_records_a_fixed_number_of_nodes(self, variant, nodes):
-        # The GCN, the recurrent layer and the CRF loss are one node each.
+        # The GCN, the recurrent layer and the CRF loss are one node each;
+        # spreading h into padded rows for the emissions takes a zero-row
+        # concat and a gather.
         sentences = random_instances(6, [5, 2, 4, 1, 3, 5], num_labels=3, seed=4)
         model = SequenceTagger(tiny_config(variant=variant, dropout=0.5),
                                build_vocab(sentences), rng=np.random.default_rng(4))

@@ -486,6 +486,36 @@ class TestKernel:
             for name, value in other.items():
                 np.testing.assert_array_equal(concurrent[name], value, err_msg=name)
 
+    @pytest.mark.parametrize("threshold", [1 << 62, 0], ids=["inline", "concurrent"])
+    @pytest.mark.parametrize("graph", [True, False], ids=["graph", "plain"])
+    def test_packed_rows_give_the_padded_bits(self, graph, threshold):
+        lengths = [14, 3, 20, 9, 1, 17, 12, 5, 20, 8, 16, 11, 13]
+        fwd, bwd, x, g, rng = _kernel_case(graph, 38, lengths)
+        real = (np.arange(max(lengths)) < np.array(lengths)[:, None]).ravel()
+        weights = rng.normal(size=(len(real), 2 * fwd.hidden))
+        runs = []
+        for rows in (real, slice(None)):  # packed, then padded
+            xs = ad.Tensor(x.data[rows], requires_grad=True)
+            gs = None if g is None else ad.Tensor(g.data[rows], requires_grad=True)
+            gates = {}
+            with _concurrency(threshold):
+                out = _run(xs, gs, fwd, bwd, lengths, gates=gates).data
+                got = _grads(_tracked(fwd, bwd, xs, gs), lambda: reference.total(
+                    _run(xs, gs, fwd, bwd, lengths) * ad.constant(weights[rows])))
+            got.update((f"gate {name}", arrays[0]) for name, arrays in gates.items())
+            runs.append((out, got))
+        (out_p, packed), (out_f, padded) = runs
+        assert out_p.shape == (real.sum(), 2 * fwd.hidden)
+        assert out_f[real].tobytes() == out_p.tobytes()
+        assert not out_f[~real].any()
+        for name in ("x", "g"):
+            if name in padded:
+                assert not padded[name][~real].any()
+                padded[name] = padded[name][real]
+        assert packed.keys() == padded.keys()
+        for name, value in packed.items():
+            assert value.tobytes() == padded[name].tobytes(), name
+
     def test_a_spare_core_needs_two_cpus(self):
         for cpus, spare in (({0}, False), ({0, 3}, True)):
             with mock.patch.object(rc.os, "sched_getaffinity", lambda pid: cpus,
@@ -711,6 +741,12 @@ class TestKernel:
         fwd, bwd, x, g, _ = _kernel_case(True, seed=32)
         with pytest.raises(DimensionError, match="graph input has 10 rows"):
             rc.bidirectional(x, ad.constant(g.data[:10]), LENGTHS, fwd, bwd)
+
+    def test_packed_and_padded_streams_do_not_mix(self):
+        # 10 packed token rows need 10 graph rows, not the 15 padded ones.
+        fwd, bwd, x, g, _ = _kernel_case(True, seed=36)
+        with pytest.raises(DimensionError, match="graph input has 15 rows"):
+            rc.bidirectional(ad.constant(x.data[:10]), g, LENGTHS, fwd, bwd)
 
     def test_empty_lengths(self):
         fwd, bwd, _, _, _ = _kernel_case(False, seed=33)
